@@ -19,22 +19,32 @@ asserted-equal results.  A third section (``pairs_certified``) does
 the same for dual-stream cells: pair-certificate-guided joint capture
 (:mod:`repro.check.compose`) against dynamic super-period detection.
 
-``--smoke`` reruns only the small ``quick`` section and fails (exit 1)
-if its speedup regressed more than 25% against the committed
-BENCH_core.json — the CI perf gate.  ``REPRO_BENCH_FULL=1`` widens the
-figure-2 subset to the paper's full fp x fp and int x int matrices.
+Every run records ``calibration_s``, the host's speed on the fixed
+pure-Python loop perfbench also uses (``ledger.calibrate``), probed
+before and after the sections; the ``quick`` section carries its own,
+probed right around it.  ``--smoke`` reruns only that section, each
+arm repeated until it has run for at least QUICK_MIN_SECONDS, and fails
+(exit 1) if either arm's simulated ticks/s, scaled to reference-host
+units by its calibration, fell more than 25% below the committed
+BENCH_core.json — the CI perf gate.  Gating each
+arm's absolute rate (not the on/off ratio) keeps a faster stepper from
+lowering the bar and catches a slowdown that hits both arms.
+``REPRO_BENCH_FULL=1`` widens the figure-2 subset to the paper's full
+fp x fp and int x int matrices.
 """
 
 import argparse
 import dataclasses
 import json
 import pathlib
+import statistics
 import sys
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "src"))
 
 from _util import full_sweep                                       # noqa: E402
+import ledger                                                      # noqa: E402
 from repro.core.apps import Variant, run_app_experiment            # noqa: E402
 from repro.core.coexec import PAIR_HORIZON_TICKS, run_pair_cpis    # noqa: E402
 from repro.core.streams import fig1_sweep, measure_stream_cpi      # noqa: E402
@@ -100,19 +110,27 @@ def _pairs():
     return tuple(full)
 
 
-def _ab(run):
+def _ab(run, min_seconds=0.0):
     """Time one section fast-forward off then on; check equivalence.
 
     ``run(enabled)`` returns ``(simulated_ticks, results)``; the results
     of both arms must compare equal or the benchmark aborts — a timing
-    for inequivalent work would be meaningless.
+    for inequivalent work would be meaningless.  An arm whose single
+    run is shorter than ``min_seconds`` is repeated until its runs add
+    up to that long, and timed per run over all of them, so a few
+    milliseconds of host noise cannot move a short arm's rate.
     """
-    t0 = time.perf_counter()        # check: allow(wall-clock)
-    ticks, r_off = run(False)
-    sec_off = time.perf_counter() - t0  # check: allow(wall-clock)
-    t0 = time.perf_counter()        # check: allow(wall-clock)
-    _, r_on = run(True)
-    sec_on = time.perf_counter() - t0   # check: allow(wall-clock)
+    def timed(enabled):
+        runs, total = 0, 0.0
+        while runs == 0 or total < min_seconds:
+            t0 = time.perf_counter()        # check: allow(wall-clock)
+            ticks, results = run(enabled)
+            total += time.perf_counter() - t0  # check: allow(wall-clock)
+            runs += 1
+        return ticks, results, total / runs, runs
+
+    ticks, r_off, sec_off, runs_off = timed(False)
+    _, r_on, sec_on, runs_on = timed(True)
     if r_off != r_on:
         raise AssertionError("fast-forward changed results; refusing "
                              "to record timings for inequivalent work")
@@ -120,8 +138,10 @@ def _ab(run):
     return {
         "cells": cells,
         "sim_ticks": ticks,
-        "seconds_off": round(sec_off, 3),
-        "seconds_on": round(sec_on, 3),
+        "runs_off": runs_off,
+        "runs_on": runs_on,
+        "seconds_off": round(sec_off, 4),
+        "seconds_on": round(sec_on, 4),
         "cells_per_sec_off": round(cells / sec_off, 2),
         "cells_per_sec_on": round(cells / sec_on, 2),
         "ticks_per_sec_off": round(ticks / sec_off),
@@ -323,17 +343,58 @@ def _pairs_certified():
     }
 
 
+#: Smoke floor: each arm must keep this share of its committed rate.
+SMOKE_FLOOR = 0.75
+
+
+#: The quick section's arms are timed over at least this many seconds
+#: each (the fast-forward arm's single run takes a few tens of ms).
+QUICK_MIN_SECONDS = 1.0
+
+
+def _quick_ab():
+    """The quick section with its own ``calibration_s``, probed right
+    around it: the smoke gate scales both its fresh and the committed
+    rates by the host speed at the time they were measured."""
+    section, cal = _calibrated(
+        lambda: _ab(_quick, min_seconds=QUICK_MIN_SECONDS))
+    return {**section, "calibration_s": cal}
+
+
+def _reference_ticks_per_sec(section, arm, calibration_s):
+    """``arm``'s simulated ticks per reference-host second."""
+    seconds = section["sim_ticks"] / section[f"ticks_per_sec_{arm}"]
+    return section["sim_ticks"] / ledger.to_reference(seconds,
+                                                      calibration_s)
+
+
+def _calibrated(run):
+    """``(run(), calibration_s)``, probing the host before and after."""
+    probes = [ledger.calibrate()]
+    out = run()
+    probes.append(ledger.calibrate())
+    return out, round(statistics.median(probes), 5)
+
+
 def smoke() -> int:
-    """CI perf gate: quick-section speedup within 25% of committed."""
-    committed = json.loads(OUT.read_text())["quick"]["speedup"]
-    fresh = _ab(_quick)
-    floor = 0.75 * committed
-    verdict = "ok" if fresh["speedup"] >= floor else "REGRESSION"
+    """CI perf gate: each quick-section arm's reference-host ticks/s
+    within 25% of the committed value."""
+    committed = json.loads(OUT.read_text())
+    fresh = _quick_ab()
+    arms = {}
+    for arm in ("off", "on"):
+        rate = _reference_ticks_per_sec(fresh, arm, fresh["calibration_s"])
+        base = _reference_ticks_per_sec(committed["quick"], arm,
+                                        committed["quick"]["calibration_s"])
+        arms[arm] = {"ref_ticks_per_sec": round(rate),
+                     "committed_ref_ticks_per_sec": round(base),
+                     "floor": round(SMOKE_FLOOR * base),
+                     "ok": rate >= SMOKE_FLOOR * base}
+    verdict = "ok" if all(a["ok"] for a in arms.values()) else "REGRESSION"
     print(json.dumps({
         "bench": "core-smoke",
         "quick": fresh,
-        "committed_speedup": committed,
-        "floor": round(floor, 2),
+        "arms": arms,
         "verdict": verdict,
     }, indent=2))
     return 0 if verdict == "ok" else 1
@@ -342,21 +403,26 @@ def smoke() -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--smoke", action="store_true",
-                    help="rerun only the quick section and fail on a "
-                         ">25%% speedup regression vs BENCH_core.json")
+                    help="rerun only the quick section and fail if either "
+                         "arm's reference-host ticks/s fell >25%% below "
+                         "BENCH_core.json")
     args = ap.parse_args(argv)
     if args.smoke:
         return smoke()
-    report = {
-        "bench": "core",
-        "fastpath_schema_version": FASTPATH_SCHEMA_VERSION,
-        "quick": _ab(_quick),
+    sections, cal = _calibrated(lambda: {
+        "quick": _quick_ab(),
         "fig1_sweep": _ab(_fig1),
         "fig2_pairs": _ab(_fig2),
         "fig2_mem": _ab(_fig2_mem),
         "apps": _apps(),
         "apps_certified": _apps_certified(),
         "pairs_certified": _pairs_certified(),
+    })
+    report = {
+        "bench": "core",
+        "fastpath_schema_version": FASTPATH_SCHEMA_VERSION,
+        "calibration_s": cal,
+        **sections,
     }
     # ``total_seconds`` is the ledger's trajectory metric and must keep
     # measuring the same thing across entries: the off/on A/B sections.
@@ -368,9 +434,7 @@ def main(argv=None) -> int:
     print(json.dumps(report, indent=2))
     # Full runs also extend the perf-regression trajectory (the smoke
     # path above gates against the committed snapshot instead).
-    import ledger
-
-    ledger.append("bench_core", report)
+    ledger.append("bench_core", report, calibration_s=cal)
     return 0
 
 

@@ -11,7 +11,13 @@ fails CI on either of:
 * **wall-clock regression** — the newest entry of a kind is more than
   :data:`REGRESSION_TOLERANCE` slower than the previous entry of the
   same kind *on the same host* (cross-host comparisons measure the
-  hardware, not the code, so they are never gated);
+  hardware, not the code, so they are never gated).  Every entry
+  records ``calibration_s``, the host's speed on a fixed pure-Python
+  loop (:func:`calibrate`, perfbench's probe) at recording
+  time; when both entries carry it, their walls are compared in
+  reference-host units (wall x ``CAL_REF_S / calibration_s``), since a
+  shared host's speed drifts between runs and a host name does not
+  identify a machine;
 * **schema drift** — the telemetry event schema fingerprint moved
   without a ``TELEMETRY_SCHEMA_VERSION`` bump (this rule is
   host-independent and always enforced).
@@ -28,10 +34,12 @@ CLI::
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import pathlib
 import platform
+import statistics
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -60,6 +68,38 @@ OVERHEAD_FAIL_PCT = 10.0
 WARM_HIT_TOLERANCE = 1.25
 
 _KINDS = ("bench_core", "bench_model", "bench_sweep", "bench_serve")
+
+def _load_perfbench():
+    """perfbench/run.py, loaded read-only: the ledger and the seeded
+    benchmark share one host-speed probe and one reference speed.  The
+    module puts its own directory on ``sys.path``; that is undone."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+_PERFBENCH = _load_perfbench()
+#: Timings scale to reference-host units by ``CAL_REF_S / calibration_s``.
+CAL_REF_S = _PERFBENCH.CAL_REF_S
+
+
+def calibrate() -> float:
+    """Host speed: the median of perfbench's ``PROBE_REPEATS`` probes,
+    in seconds per million turns of its fixed pure-Python loop."""
+    return statistics.median(_PERFBENCH.calibrate()
+                             for _ in range(_PERFBENCH.PROBE_REPEATS))
+
+
+def to_reference(seconds: float, calibration_s: float) -> float:
+    """A wall time on a host of speed ``calibration_s`` in
+    reference-host seconds."""
+    return seconds * CAL_REF_S / calibration_s
 
 
 def _git(*args: str) -> str:
@@ -91,8 +131,26 @@ def _wall_seconds(entry: dict):
     return None
 
 
+def _calibrated(*entries: dict) -> bool:
+    return all(isinstance(e.get("calibration_s"), (int, float))
+               and e["calibration_s"] > 0 for e in entries)
+
+
+def _in_units(newest: dict, base: dict, new_value: float,
+              base_value: float) -> tuple:
+    """``(new, base, label)``: both values in reference-host units when
+    both entries are calibrated, else both raw (entries recorded before
+    calibration existed)."""
+    if _calibrated(newest, base):
+        return (to_reference(new_value, newest["calibration_s"]),
+                to_reference(base_value, base["calibration_s"]),
+                " (reference-host units)")
+    return new_value, base_value, ""
+
+
 def make_entry(kind: str, data: dict, git_sha=None, host=None,
-               recorded_at=None, source="bench") -> dict:
+               recorded_at=None, source="bench",
+               calibration_s=None) -> dict:
     if kind not in _KINDS:
         raise ValueError(f"unknown ledger kind {kind!r}; known: {_KINDS}")
     return {
@@ -100,6 +158,8 @@ def make_entry(kind: str, data: dict, git_sha=None, host=None,
         "kind": kind,
         "git_sha": git_sha if git_sha is not None else head_sha(),
         "host": host if host is not None else platform.node(),
+        "calibration_s": (calibration_s if calibration_s is not None
+                          else calibrate()),
         "python": platform.python_version(),
         "recorded_at": recorded_at if recorded_at is not None else (
             datetime.now(timezone.utc)  # check: allow(wall-clock)
@@ -162,7 +222,8 @@ def check(ledger_path=None, fingerprint=None):
         lines.append("ok   schema: telemetry fingerprint consistent "
                      f"(v{TELEMETRY_SCHEMA_VERSION})")
 
-    # Rule 2: per-kind same-host wall-clock regression.
+    # Rule 2: per-kind same-host wall-clock regression, in
+    # reference-host units when both entries are calibrated.
     for kind in _KINDS:
         trail = [e for e in entries if e["kind"] == kind]
         if not trail:
@@ -176,17 +237,18 @@ def check(ledger_path=None, fingerprint=None):
             lines.append(f"ok   {kind}: no same-host baseline to gate "
                          f"against ({len(trail)} entries)")
             continue
-        base = _wall_seconds(prior[-1])
+        wall, base, units = _in_units(newest, prior[-1], wall,
+                                      _wall_seconds(prior[-1]))
         if wall > REGRESSION_TOLERANCE * base:
             ok = False
             lines.append(
                 f"FAIL {kind}: wall {wall:.3f}s vs {base:.3f}s on "
                 f"{newest['host']} — >{REGRESSION_TOLERANCE:.0%} of "
-                f"baseline ({newest['git_sha'][:10]})")
+                f"baseline ({newest['git_sha'][:10]}){units}")
         else:
             lines.append(
                 f"ok   {kind}: wall {wall:.3f}s vs {base:.3f}s baseline "
-                f"on {newest['host']}")
+                f"on {newest['host']}{units}")
 
     # Rule 3: telemetry-on overhead band for sweep benches.
     sweeps = [e for e in entries if e["kind"] == "bench_sweep"]
@@ -221,6 +283,8 @@ def check(ledger_path=None, fingerprint=None):
                          f"baseline to gate against "
                          f"({len(serves)} entries)")
         else:
+            # Raw walls: serve latencies are fsync and scheduling
+            # waits that the CPU calibration loop does not track.
             base = _warm_p50(prior[-1])
             if p50 > WARM_HIT_TOLERANCE * base:
                 ok = False

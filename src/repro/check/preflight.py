@@ -101,28 +101,33 @@ def _check_app(cell: Any) -> List[Finding]:
             message=f"unknown variant {variant_value!r}",
             hint=f"known variants: {[v.value for v in Variant]}",
         )]
+    size = dict(config.get("size") or {})
     build = WORKLOADS[app].build(variant, mem_config=cell.mem_config,
-                                 **dict(config.get("size") or {}))
+                                 **size)
     findings: List[Finding] = []
     plan = build.meta.get("span_plan")
     if plan is not None:
         findings.extend(spans.verify_span_plan(
             site, plan, mem_config=cell.mem_config))
-    if build.num_threads >= 2:
-        findings.extend(races.detect_races(
-            build.factories, build.aspace, name=site,
-            budget=PREFLIGHT_RACE_BUDGET))
     # Certificate machine check: a recordable cell is about to execute
     # under certificate guidance; a certificate that does not describe
-    # its own trace must never reach the jump engine silently.
+    # its own trace must never reach the jump engine silently.  Each
+    # thread is recorded once here; the race scan below and the cell's
+    # cache key (recurrence.workload_cert_fingerprints) reuse the result.
+    from repro.check.recurrence import (
+        remember_cert_fingerprints,
+        thread_certificates,
+        workload_label,
+    )
     from repro.isa.trace import TiledTrace
 
-    for tid, factory in enumerate(build.factories):
-        trace = factory(None)
-        if type(trace) is not TiledTrace or trace.cert is None:
-            continue
-        for problem in trace.cert.validate(trace):
-            findings.append(Finding(
+    threads = [factory(None) for factory in build.factories]
+    certs = thread_certificates(
+        threads, workload_label(app, variant.value, size), cell.mem_config)
+    cert_findings: List[Finding] = []
+    for tid, cert in certs:
+        for problem in cert.validate(threads[tid]):
+            cert_findings.append(Finding(
                 check="preflight", severity=Severity.ERROR,
                 site=f"{site}/t{tid}",
                 message=f"recurrence certificate fails its machine "
@@ -130,7 +135,19 @@ def _check_app(cell: Any) -> List[Finding]:
                 hint="the certificate does not describe the trace it "
                      "is attached to; rebuild or re-certify",
             ))
-    return findings
+    if not cert_findings:
+        remember_cert_fingerprints(
+            app, variant.value, tuple(sorted(size.items())),
+            cell.mem_config, [cert for _, cert in certs])
+    if build.num_threads >= 2:
+        # A recorded thread replays its own trace (the same instruction
+        # stream its factory would record again); the others start
+        # fresh against the scan's API.
+        scan = [(lambda api, tr=tr: tr) if type(tr) is TiledTrace else f
+                for f, tr in zip(build.factories, threads)]
+        findings.extend(races.detect_races(
+            scan, build.aspace, name=site, budget=PREFLIGHT_RACE_BUDGET))
+    return findings + cert_findings
 
 
 def _check_pair_cert(cell: Any) -> List[Finding]:

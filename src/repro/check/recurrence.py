@@ -695,9 +695,7 @@ def recurrence_findings(app: str, variant: Any, size: Dict[str, Any],
 
     variant = (variant if isinstance(variant, Variant)
                else Variant(variant))
-    site = "{}/{}({})".format(
-        app, variant.value,
-        ",".join(f"{k}={v}" for k, v in sorted(size.items())))
+    site = workload_label(app, variant.value, size)
     build = WORKLOADS[app].build(variant, mem_config=mem_config,
                                  **dict(size))
     findings: List[Finding] = []
@@ -738,6 +736,36 @@ def recurrence_findings(app: str, variant: Any, size: Dict[str, Any],
     return findings
 
 
+def thread_certificates(traces: Sequence[Any], label: str,
+                        mem_config: Any = None
+                        ) -> List[Tuple[int, RecurrenceCertificate]]:
+    """``(tid, certificate)`` for each recorded (tiled) thread trace of
+    one workload build, in thread order."""
+    out: List[Tuple[int, RecurrenceCertificate]] = []
+    for tid, trace in enumerate(traces):
+        if type(trace) is not TiledTrace:
+            continue
+        cert = getattr(trace, "cert", None)
+        if cert is None:
+            cert = certify_tiled(trace, mem_config,
+                                 subject=f"{label}/t{tid}")
+        elif not cert.subject:
+            # Build-time attachment has no workload context; label for
+            # inventories (fingerprints ignore the subject).
+            cert = replace(cert, subject=f"{label}/t{tid}")
+        out.append((tid, cert))
+    return out
+
+
+def workload_label(app: str, variant_value: str,
+                   size: Dict[str, Any]) -> str:
+    """``app/variant(k=v,...)``: how certificates and findings name a
+    workload build."""
+    return "{}/{}({})".format(
+        app, variant_value,
+        ",".join(f"{k}={v}" for k, v in sorted(size.items())))
+
+
 def workload_certificates(app: str, variant: Any, size: Dict[str, Any],
                           mem_config: Any = None
                           ) -> List[RecurrenceCertificate]:
@@ -754,57 +782,57 @@ def workload_certificates(app: str, variant: Any, size: Dict[str, Any],
         return []
     build = WORKLOADS[app].build(variant, mem_config=mem_config,
                                  **dict(size))
-    out: List[RecurrenceCertificate] = []
-    label = "{}/{}({})".format(
-        app, variant.value,
-        ",".join(f"{k}={v}" for k, v in sorted(size.items())))
-    for tid, factory in enumerate(build.factories):
-        trace = factory(None)
-        if type(trace) is TiledTrace:
-            cert = getattr(trace, "cert", None)
-            if cert is None:
-                cert = certify_tiled(trace, mem_config,
-                                     subject=f"{label}/t{tid}")
-            elif not cert.subject:
-                # Build-time attachment has no workload context; label
-                # for inventories (fingerprints ignore the subject).
-                cert = replace(cert, subject=f"{label}/t{tid}")
-            out.append(cert)
-    return out
+    traces = [factory(None) for factory in build.factories]
+    return [cert for _, cert in thread_certificates(
+        traces, workload_label(app, variant.value, size), mem_config)]
+
+
+#: Certificate fingerprints per (app, variant, size, memory geometry),
+#: shared by the sweep preflight (which records and machine-checks each
+#: build's traces) and the cache keys (which only need the
+#: fingerprints): each build is recorded once per process.
+_CERT_FPS: Dict[Tuple[Any, ...], Tuple[str, ...]] = {}
+_CERT_FPS_MAX = 256
+
+
+def _cert_fps_key(app: str, variant_value: str,
+                  size_items: Tuple[Tuple[str, Any], ...],
+                  mem_config: Any) -> Tuple[Any, ...]:
+    token = (None if mem_config is None
+             else tuple(sorted(mem_config.to_dict().items())))
+    return (app, variant_value, size_items, token)
+
+
+def remember_cert_fingerprints(app: str, variant_value: str,
+                               size_items: Tuple[Tuple[str, Any], ...],
+                               mem_config: Any,
+                               certs: Sequence[RecurrenceCertificate]
+                               ) -> None:
+    """Record the fingerprints of a build's certificates, in thread
+    order, for :func:`workload_cert_fingerprints` to return."""
+    if len(_CERT_FPS) >= _CERT_FPS_MAX:
+        _CERT_FPS.clear()
+    _CERT_FPS[_cert_fps_key(app, variant_value, size_items, mem_config)] \
+        = tuple(c.fingerprint() for c in certs)
 
 
 def workload_cert_fingerprints(app: str, variant_value: str,
                                size_items: Tuple[Tuple[str, Any], ...],
                                mem_config: Any = None) -> Tuple[str, ...]:
-    """Certificate fingerprints for a cell's cache key (cached).
+    """Certificate fingerprints for a cell's cache key.
 
-    Keyed by the hashable cell identity so enumerating a sweep
-    certifies each distinct (app, variant, size) once per process.
+    Memoized per process by the hashable cell identity; a build the
+    preflight already recorded is never recorded again.
     """
-    return _cached_cert_fps(app, variant_value, size_items,
-                            _mem_token(mem_config))
-
-
-def _mem_token(mem_config: Any) -> Optional[Tuple[Tuple[str, Any], ...]]:
-    if mem_config is None:
-        return None
-    return tuple(sorted(mem_config.to_dict().items()))
-
-
-from functools import lru_cache  # noqa: E402  (decorator needs it below)
-
-
-@lru_cache(maxsize=256)
-def _cached_cert_fps(app: str, variant_value: str,
-                     size_items: Tuple[Tuple[str, Any], ...],
-                     mem_token: Optional[Tuple[Tuple[str, Any], ...]]
-                     ) -> Tuple[str, ...]:
-    from repro.mem.config import MemConfig
-
-    mem = MemConfig(**dict(mem_token)) if mem_token is not None else None
-    certs = workload_certificates(app, variant_value, dict(size_items),
-                                  mem_config=mem)
-    return tuple(c.fingerprint() for c in certs)
+    key = _cert_fps_key(app, variant_value, size_items, mem_config)
+    fps = _CERT_FPS.get(key)
+    if fps is None:
+        remember_cert_fingerprints(
+            app, variant_value, size_items, mem_config,
+            workload_certificates(app, variant_value, dict(size_items),
+                                  mem_config=mem_config))
+        fps = _CERT_FPS[key]
+    return fps
 
 
 def certificate_inventory(app_sizes: str = "all") -> Dict[str, Any]:

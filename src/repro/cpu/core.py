@@ -17,6 +17,16 @@ their entries while *both* logical CPUs are active; a `halt`ed (or
 finished) thread's halves are released to the survivor (§3.1).  The
 `unified_queues` config ablates this into a dynamically shared pool.
 
+Issue queue
+-----------
+Each µop counts its incomplete source operands at allocation and sits
+on its producers' consumer lists; a completion counts it off and, at
+zero, wakes it onto its thread's age-ordered ready list.  The issue
+stage selects from the ready lists only, among each thread's oldest
+``sched_window`` unissued µops (the wake-up/select split of an
+out-of-order issue queue), so a tick costs the µops that can issue,
+not a rescan of the whole window.
+
 Store lifecycle
 ---------------
 alloc (needs SQ entry) → issue on the store port (address+data dispatch)
@@ -29,8 +39,10 @@ store sat blocked on a full SQ — the paper's stall metric.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from repro.common.errors import ConfigError, DeadlockError
@@ -44,13 +56,40 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.observe.tracer import NULL_TRACER, Tracer
 from repro.perfmon import Event, PerfMonitor
 
-_OP_ILOAD = int(Op.ILOAD)
-_OP_FLOAD = int(Op.FLOAD)
-_OP_ISTORE = int(Op.ISTORE)
-_OP_FSTORE = int(Op.FSTORE)
-_OP_PAUSE = int(Op.PAUSE)
-_OP_HALT = int(Op.HALT)
-_OP_PREFETCH = int(Op.PREFETCH)
+# Enum members bound once: a class-attribute lookup on an Enum costs
+# several times an identity test, and the stages below make a dozen such
+# tests per µop.
+_ILOAD = Op.ILOAD
+_FLOAD = Op.FLOAD
+_ISTORE = Op.ISTORE
+_FSTORE = Op.FSTORE
+_PAUSE = Op.PAUSE
+_HALT = Op.HALT
+_PREFETCH = Op.PREFETCH
+_ACTIVE = ThreadState.ACTIVE
+_HALTED = ThreadState.HALTED
+_DONE = ThreadState.DONE
+_STALL_SB = Event.RESOURCE_STALL_SB
+_STALL_LQ = Event.RESOURCE_STALL_LQ
+_STALL_ROB = Event.RESOURCE_STALL_ROB
+
+_SEQ = attrgetter("seq")
+
+
+def _wake_consumers(uop: Instr, ready: list) -> None:
+    """``uop`` completed: count it off its consumers' outstanding
+    operands and move the ones left with none onto the (age-ordered)
+    ready list."""
+    consumers = uop.consumers
+    uop.consumers = None
+    for c in consumers:  # type: ignore[union-attr]
+        left = c.pending - 1
+        c.pending = left
+        if not left:
+            if not ready or ready[-1].seq < c.seq:
+                ready.append(c)
+            else:
+                insort(ready, c, key=_SEQ)
 
 
 @dataclass
@@ -107,6 +146,13 @@ class SMTCore:
         )
         if self.hierarchy.monitor is not self.monitor:
             raise ConfigError("hierarchy and core must share one PerfMonitor")
+        # Counter rows the stages bump every boundary (the rows are
+        # never rebound).
+        raw = self.monitor.raw
+        self._cycles_active = raw[Event.CYCLES_ACTIVE]
+        self._retired_counts = raw[Event.UOPS_RETIRED]
+        self._pause_counts = raw[Event.PAUSE_RETIRED]
+        self._fetched_counts = raw[Event.UOPS_FETCHED]
         self.units = UnitPool(self.config)
         self.threads: list[ThreadContext] = []
         self.tick = 0
@@ -122,10 +168,25 @@ class SMTCore:
         self._rr = 0  # round-robin pointer shared by fetch/alloc/retire
         self._issue_rr = 0  # issue priority; flips after a burst of issues
         self._issue_burst = 0
-        # Reused round-robin orderings (rebuilt in add_thread): avoids a
-        # fresh tuple per stage per tick on the hot path.
+        # Reused round-robin orderings and each thread's sibling (rebuilt
+        # in add_thread): avoids a fresh tuple per stage per tick on the
+        # hot path.
         self._order_single: Optional[tuple[ThreadContext, ...]] = None
         self._rr_pairs: Optional[tuple[tuple[ThreadContext, ...], ...]] = None
+        self._peers: tuple[Optional[ThreadContext], ...] = ()
+        cfg = self.config
+        # Queue capacities (µop queue, ROB, LQ, SQ) a thread may fill
+        # with no sibling occupying a partition, and with one.
+        self._full_caps = (cfg.uopq_total, cfg.rob_total,
+                           cfg.loadq_total, cfg.storeq_total)
+        self._half_caps = tuple(c // 2 for c in self._full_caps)
+        # Issue-stage memo: _blocked[op] is a tick before which op
+        # cannot issue — the earliest a unit on its route frees up, as
+        # of the last failed attempt.  Units only get busier until then,
+        # so the attempts it skips would all fail (the memo saves work
+        # and never changes a result).
+        self._blocked = [0] * (max(int(op) for op in Op) + 1)
+        self._n_done = 0  # threads in ThreadState.DONE
         # Store-queue entries awaiting release across all threads; gates
         # the per-tick _sq_release scans.
         self._sq_pending = 0
@@ -169,9 +230,11 @@ class SMTCore:
             self._order_single = None
             self._rr_pairs = ((threads[0], threads[1]),
                               (threads[1], threads[0]))
+            self._peers = (threads[1], threads[0])
         else:
             self._order_single = (threads[0],)
             self._rr_pairs = None
+            self._peers = (None,)
         return tid
 
     # ------------------------------------------------------------------
@@ -185,7 +248,7 @@ class SMTCore:
         cfg = self.config
         self.monitor.raw[Event.IPI_SENT][tid] += 1
         resume = now + cfg.ipi_latency + cfg.halt_exit_ticks
-        if th.state is ThreadState.HALTED:
+        if th.state is _HALTED:
             if resume < th.wake_at:
                 th.wake_at = resume
         else:
@@ -235,15 +298,19 @@ class SMTCore:
             fst.bump(fst.stand_downs, self._fp_reason or "disabled")
         elif not fp.prepare():
             fp = None
+        n_threads = len(threads)
+        self._n_done = sum(th.state is _DONE for th in threads)
+        heap = self._comp_heap
+        # Ready lists are never rebound: one test per tick skips the
+        # issue stage while no thread has a µop to select.
+        ready_first = threads[0].ready
+        ready_last = threads[-1].ready
         t = self.tick
         while True:
             if stop_at_tick is not None and t >= stop_at_tick:
                 break
-            if stop_on_first_done and any(
-                th.state is ThreadState.DONE for th in threads
-            ):
-                break
-            if all(th.state is ThreadState.DONE for th in threads):
+            n_done = self._n_done
+            if n_done and (stop_on_first_done or n_done == n_threads):
                 break
             if t >= limit:
                 raise DeadlockError(
@@ -262,12 +329,16 @@ class SMTCore:
             if boundary:
                 self._process_wakes(t)
                 self._retire(t)
-            self._complete(t)
-            self._drain_stores(t)
-            self._issue(t)
+            if heap and heap[0][0] <= t:
+                self._complete(t)
+            if self._drain_q or self._sq_pending:
+                self._drain_stores(t)
             acct = self._acct
             if acct is not None:
+                self._issue(t)
                 acct.on_issue(self, t, self._issue_used)
+            elif ready_first or ready_last:
+                self._issue(t)
             if boundary:
                 self._allocate(t)
                 # Attribution must read the state *before* fetch refills
@@ -275,7 +346,6 @@ class SMTCore:
                 if acct is not None:
                     acct.on_alloc(self, t, self._alloc_used)
                 self._fetch(t)
-                self._count_stalls(t)
             t = self._advance(t)
         self.tick = t
         self._flush_drains(t)
@@ -313,16 +383,16 @@ class SMTCore:
 
     def _process_wakes(self, t: int) -> None:
         for th in self.threads:
-            if th.state is ThreadState.HALTED:
+            if th.state is _HALTED:
                 if th.wake_at <= t:
-                    th.state = ThreadState.ACTIVE
+                    th.state = _ACTIVE
                     th.wake_at = _FAR_FUTURE
                     th.wake_pending = False
                     th.fetch_gate_until = t
                     if self._tr is not None:
                         self._tr.wake(t, th.tid)
-            elif th.state is ThreadState.ACTIVE and not th.halt_inflight:
-                self.monitor.raw[Event.CYCLES_ACTIVE][th.tid] += 1
+            elif th.state is _ACTIVE and not th.halt_inflight:
+                self._cycles_active[th.tid] += 1
 
     def _rr_order(self) -> tuple[ThreadContext, ...]:
         """Threads in round-robin order; advances the shared pointer."""
@@ -336,8 +406,8 @@ class SMTCore:
     def _retire(self, t: int) -> None:
         budget = self.config.retire_width
         tr = self._tr
-        retired_counts = self.monitor.raw[Event.UOPS_RETIRED]
-        pause_counts = self.monitor.raw[Event.PAUSE_RETIRED]
+        retired_counts = self._retired_counts
+        pause_counts = self._pause_counts
         for th in self._rr_order():
             if budget <= 0:
                 break
@@ -353,27 +423,28 @@ class SMTCore:
                 retired_counts[th.tid] += 1
                 if tr is not None:
                     tr.retire(t, th.tid, uop)
-                if op is Op.ISTORE or op is Op.FSTORE:
+                if op is _ISTORE or op is _FSTORE:
                     if uop.effect is not None:
                         uop.effect()
                     self._drain_q.append(uop)
-                elif op is Op.ILOAD or op is Op.FLOAD:
+                elif op is _ILOAD or op is _FLOAD:
                     th.lq_used -= 1
-                elif op is Op.PAUSE:
+                elif op is _PAUSE:
                     pause_counts[th.tid] += 1
-                elif op is Op.HALT:
+                elif op is _HALT:
                     self._enter_halt(th, t)
             if (
                 th.gen_done
-                and th.state is ThreadState.ACTIVE
+                and th.state is _ACTIVE
                 and th.pipeline_empty()
             ):
-                th.state = ThreadState.DONE
+                th.state = _DONE
                 th.done_tick = t
+                self._n_done += 1
 
     def _enter_halt(self, th: ThreadContext, t: int) -> None:
         th.halt_inflight = False
-        th.state = ThreadState.HALTED
+        th.state = _HALTED
         self.monitor.raw[Event.HALT_TRANSITIONS][th.tid] += 1
         if self._tr is not None:
             self._tr.halt(t, th.tid)
@@ -386,13 +457,16 @@ class SMTCore:
     def _complete(self, t: int) -> None:
         heap = self._comp_heap
         tr = self._tr
+        threads = self.threads
         while heap and heap[0][0] <= t:
             _, _, uop = heapq.heappop(heap)
             uop.completed = True
+            if uop.consumers is not None:
+                _wake_consumers(uop, threads[uop.thread].ready)
             if tr is not None:
                 tr.complete(t, uop.thread, uop)
             op = uop.op
-            if uop.effect is not None and op is not Op.ISTORE and op is not Op.FSTORE:
+            if uop.effect is not None and op is not _ISTORE and op is not _FSTORE:
                 uop.effect()
 
     def _drain_stores(self, t: int) -> None:
@@ -422,13 +496,15 @@ class SMTCore:
             self._sq_pending += 1
 
     def _issue(self, t: int) -> None:
-        budget = self.config.issue_width
-        window = self.config.sched_window
-        units = self.units
-        hierarchy = self.hierarchy
-        heap = self._comp_heap
-        threads = self.threads
-        tr = self._tr
+        """Select up to ``issue_width`` ready µops, oldest first per thread.
+
+        Only a thread's ready list is visited: µops whose operands are
+        all complete, restricted to the oldest ``sched_window`` unissued
+        ones (the window is fixed at the start of the thread's scan).  A
+        µop completing in the same tick wakes its consumers straight into
+        the list being scanned; they are younger, so they land behind
+        the scan position and may still issue this tick.
+        """
         used = self._issue_used if self._acct is not None else None
         if used is not None:
             for i in range(len(used)):
@@ -441,133 +517,167 @@ class SMTCore:
             # free slots recur with even periods, so parity-based
             # priority would starve one thread systematically.
             order = pairs[self._issue_rr]
+        cfg = self.config
+        budget = cfg.issue_width
+        window = cfg.sched_window
+        try_issue = self.units.try_issue
+        blocked = self._blocked
+        tr = self._tr
         for th in order:
             if budget <= 0:
                 break
-            waiting = th.waiting
-            if not waiting:
+            ready = th.ready
+            if not ready:
                 continue
+            waiting = th.waiting
+            bound = (waiting[window - 1].seq if len(waiting) > window
+                     else _FAR_FUTURE)
+            tid = th.tid
             issued_any = False
-            limit = window if window < len(waiting) else len(waiting)
-            for k in range(limit):
-                if budget <= 0:
+            i = 0
+            while i < len(ready):
+                uop = ready[i]
+                if uop.seq > bound:
                     break
-                uop = waiting[k]
-                if uop.issued:
+                op = uop.op
+                if blocked[op] > t:
+                    i += 1
                     continue
-                ready = True
-                for dep in uop.deps:
-                    if not dep.completed:
-                        ready = False
-                        break
-                if not ready:
-                    continue
-                op = int(uop.op)
-                ok, comp = units.try_issue(op, t, th.tid)
+                ok, comp = try_issue(op, t, tid)
                 if not ok:
+                    blocked[op] = comp
+                    i += 1
                     continue
-                if op == _OP_ILOAD or op == _OP_FLOAD:
-                    access = hierarchy.load(uop.addr, th.tid, t, uop.site)
+                del ready[i]
+                waiting.remove(uop)
+                if op is _ILOAD or op is _FLOAD:
+                    access = self.hierarchy.load(uop.addr, tid, t, uop.site)
                     comp += access.latency
-                elif op == _OP_PREFETCH:
-                    hierarchy.swprefetch(uop.addr, th.tid, t)
-                    self.monitor.raw[Event.SW_PREFETCH_ISSUED][th.tid] += 1
-                elif op == _OP_HALT:
-                    comp = t + self.config.halt_enter_ticks
+                elif op is _PREFETCH:
+                    self.hierarchy.swprefetch(uop.addr, tid, t)
+                    self.monitor.raw[Event.SW_PREFETCH_ISSUED][tid] += 1
+                elif op is _HALT:
+                    comp = t + cfg.halt_enter_ticks
                 uop.issued = True
                 budget -= 1
                 issued_any = True
                 if used is not None:
-                    used[th.tid] += 1
+                    used[tid] += 1
                 if tr is not None:
-                    tr.issue(t, th.tid, uop)
+                    tr.issue(t, tid, uop)
                 if comp <= t:
                     uop.completed = True
+                    if uop.consumers is not None:
+                        _wake_consumers(uop, ready)
                     if tr is not None:
-                        tr.complete(t, th.tid, uop)
+                        tr.complete(t, tid, uop)
                     if uop.effect is not None:
                         uop.effect()
                 else:
                     self._gseq += 1
-                    heapq.heappush(heap, (comp, self._gseq, uop))
-            if issued_any:
-                # Compact in place: the waiting list object is reused for
-                # the thread's whole lifetime (no per-tick list churn).
-                write = 0
-                for u in waiting:
-                    if not u.issued:
-                        waiting[write] = u
-                        write += 1
-                del waiting[write:]
-                if len(threads) == 2 and th is order[0]:
-                    self._issue_burst += 1
-                    if self._issue_burst >= self.config.issue_burst:
-                        self._issue_rr = 1 - self._issue_rr
-                        self._issue_burst = 0
+                    heapq.heappush(self._comp_heap, (comp, self._gseq, uop))
+                if budget <= 0:
+                    break
+            if issued_any and pairs is not None and th is order[0]:
+                self._issue_burst += 1
+                if self._issue_burst >= cfg.issue_burst:
+                    self._issue_rr = 1 - self._issue_rr
+                    self._issue_burst = 0
 
-    # -- capacity helpers ----------------------------------------------
+    # -- queue partitions ----------------------------------------------
 
-    def _cap(self, th: ThreadContext, total: int, peer_used: int) -> int:
-        if not self.config.partitioned:
-            return total - peer_used
-        peer = self._peer(th)
-        if peer is None or not peer.occupies_partition:
-            return total
-        return total // 2
+    def partition_caps(self, th: ThreadContext) -> tuple[int, int, int, int]:
+        """Entries of the µop queue, ROB, LQ and SQ ``th`` may fill now.
 
-    def _peer(self, th: ThreadContext) -> Optional[ThreadContext]:
-        if len(self.threads) == 1:
-            return None
-        return self.threads[1 - th.tid]
+        Partitioned queues give a thread half of each while its sibling
+        is active and all of it otherwise: a halted or finished logical
+        CPU has relinquished its partitions (the `halt` behaviour of
+        §3.1).  Unified queues give it whatever the sibling does not
+        hold.
+        """
+        peer = self._peers[th.tid]
+        if peer is None:
+            return self._full_caps
+        if self.config.partitioned:
+            if peer.state is _ACTIVE:
+                return self._half_caps
+            return self._full_caps
+        cfg = self.config
+        return (cfg.uopq_total - len(peer.uopq), cfg.rob_total - len(peer.rob),
+                cfg.loadq_total - peer.lq_used, cfg.storeq_total - peer.sq_used)
+
+    @staticmethod
+    def alloc_stall(th: ThreadContext,
+                    caps: tuple[int, int, int, int]) -> Optional[Event]:
+        """The allocator stall event ``th``'s head µop is blocked on
+        under ``caps`` (see :meth:`partition_caps`), or ``None`` if it
+        can be allocated.  A load or store blocked on its own queue is
+        charged to that queue before the ROB."""
+        op = th.uopq[0].op
+        if op is _ISTORE or op is _FSTORE:
+            if th.sq_used >= caps[3]:
+                return _STALL_SB
+        elif op is _ILOAD or op is _FLOAD:
+            if th.lq_used >= caps[2]:
+                return _STALL_LQ
+        if len(th.rob) >= caps[1]:
+            return _STALL_ROB
+        return None
+
+    def _count_stall(self, th: ThreadContext) -> None:
+        """Per-cycle allocator-stall accounting (the paper's metric) for
+        the head µop ``th`` is left with after allocate and fetch."""
+        ev = self.alloc_stall(th, self.partition_caps(th))
+        if ev is not None:
+            self.monitor.raw[ev][th.tid] += 1
 
     def _allocate(self, t: int) -> None:
         budget = self.config.alloc_width
-        cfg = self.config
         tr = self._tr
         used = self._alloc_used if self._acct is not None else None
         if used is not None:
             for i in range(len(used)):
                 used[i] = 0
+        alloc_stall = self.alloc_stall
         for th in self._rr_order():
             if budget <= 0:
                 break
             uopq = th.uopq
-            if not uopq or th.state is not ThreadState.ACTIVE:
+            if not uopq or th.state is not _ACTIVE:
                 continue
-            peer = self._peer(th)
-            peer_rob = len(peer.rob) if peer else 0
-            peer_lq = peer.lq_used if peer else 0
-            peer_sq = peer.sq_used if peer else 0
-            rob_cap = self._cap(th, cfg.rob_total, peer_rob)
-            lq_cap = self._cap(th, cfg.loadq_total, peer_lq)
-            sq_cap = self._cap(th, cfg.storeq_total, peer_sq)
+            caps = self.partition_caps(th)
             rob = th.rob
             waiting = th.waiting
+            ready = th.ready
             regmap = th.regmap
             while budget > 0 and uopq:
-                uop = uopq[0]
-                if len(rob) >= rob_cap:
+                if alloc_stall(th, caps) is not None:
                     break
+                uop = uopq.popleft()
                 op = uop.op
-                if op is Op.ILOAD or op is Op.FLOAD:
-                    if th.lq_used >= lq_cap:
-                        break
+                if op is _ILOAD or op is _FLOAD:
                     th.lq_used += 1
-                elif op is Op.ISTORE or op is Op.FSTORE:
-                    if th.sq_used >= sq_cap:
-                        break
+                elif op is _ISTORE or op is _FSTORE:
                     th.sq_used += 1
-                uopq.popleft()
                 budget -= 1
                 srcs = uop.srcs
+                pending = 0
                 if srcs:
                     deps = []
                     for s in srcs:
                         producer = regmap.get(s)
                         if producer is not None and not producer.completed:
                             deps.append(producer)
+                            if producer.consumers is None:
+                                producer.consumers = [uop]
+                            else:
+                                producer.consumers.append(uop)
                     if deps:
                         uop.deps = tuple(deps)
+                        pending = len(deps)
+                uop.pending = pending
+                if not pending:
+                    ready.append(uop)
                 dst = uop.dst
                 if dst is not None:
                     regmap[dst] = uop
@@ -577,44 +687,27 @@ class SMTCore:
                     used[th.tid] += 1
                 if tr is not None:
                     tr.alloc(t, th.tid, uop)
-
-    def _count_stalls(self, t: int) -> None:
-        """Per-cycle allocator-stall accounting (the paper's metric)."""
-        cfg = self.config
-        mon = self.monitor.raw
+        # Stall accounting reads every thread's post-allocation state; a
+        # queue left empty here is charged by _fetch for the µop it
+        # refills the queue with.
         for th in self.threads:
-            if th.state is not ThreadState.ACTIVE or not th.uopq:
-                continue
-            uop = th.uopq[0]
-            op = uop.op
-            peer = self._peer(th)
-            if op is Op.ISTORE or op is Op.FSTORE:
-                sq_cap = self._cap(th, cfg.storeq_total, peer.sq_used if peer else 0)
-                if th.sq_used >= sq_cap:
-                    mon[Event.RESOURCE_STALL_SB][th.tid] += 1
-                    continue
-            elif op is Op.ILOAD or op is Op.FLOAD:
-                lq_cap = self._cap(th, cfg.loadq_total, peer.lq_used if peer else 0)
-                if th.lq_used >= lq_cap:
-                    mon[Event.RESOURCE_STALL_LQ][th.tid] += 1
-                    continue
-            rob_cap = self._cap(th, cfg.rob_total, len(peer.rob) if peer else 0)
-            if len(th.rob) >= rob_cap:
-                mon[Event.RESOURCE_STALL_ROB][th.tid] += 1
+            if th.uopq and th.state is _ACTIVE:
+                self._count_stall(th)
 
     def _fetch(self, t: int) -> None:
         budget = self.config.fetch_width
         cfg = self.config
         tr = self._tr
-        fetched_counts = self.monitor.raw[Event.UOPS_FETCHED]
+        fetched_counts = self._fetched_counts
         for th in self._rr_order():
             if budget <= 0:
                 break
-            if not th.can_fetch(t):
+            if (th.state is not _ACTIVE or th.gen_done
+                    or t < th.fetch_gate_until):
                 continue
-            peer = self._peer(th)
-            cap = self._cap(th, cfg.uopq_total, len(peer.uopq) if peer else 0)
+            cap = self.partition_caps(th)[0]
             uopq = th.uopq
+            refill = not uopq
             if tr is None and th.batched:
                 # Compiled-trace sources: pull whole fetch batches.  Gate
                 # ops only ever arrive in length-1 batches (compiled
@@ -629,43 +722,44 @@ class SMTCore:
                     batch = th.pull_batch(n)
                     if not batch:
                         break
-                    fetched_counts[th.tid] += len(batch)
-                    th.uops_fetched += len(batch)
-                    budget -= len(batch)
-                    gated = False
-                    for instr in batch:
-                        uopq.append(instr)
-                        op = instr.op
-                        if op is Op.PAUSE:
+                    n = len(batch)
+                    fetched_counts[th.tid] += n
+                    th.uops_fetched += n
+                    budget -= n
+                    uopq.extend(batch)
+                    if n == 1:
+                        op = batch[0].op
+                        if op is _PAUSE:
                             th.fetch_gate_until = t + cfg.pause_fetch_gate
-                            gated = True
-                        elif op is Op.HALT:
+                            break
+                        if op is _HALT:
                             th.halt_inflight = True
                             th.fetch_gate_until = _FAR_FUTURE
-                            gated = True
-                    if gated:
+                            break
+            else:
+                while budget > 0 and len(uopq) < cap:
+                    instr = th.pull()
+                    if instr is None:
                         break
-                continue
-            while budget > 0 and len(uopq) < cap:
-                instr = th.pull()
-                if instr is None:
-                    break
-                uopq.append(instr)
-                fetched_counts[th.tid] += 1
-                th.uops_fetched += 1
-                budget -= 1
-                if tr is not None:
-                    tr.fetch(t, th.tid, instr)
-                op = instr.op
-                if op is Op.PAUSE:
-                    # De-pipeline the spin loop: stop fetching for a while.
-                    th.fetch_gate_until = t + cfg.pause_fetch_gate
-                    break
-                if op is Op.HALT:
-                    # Nothing may be fetched past a halt until the IPI.
-                    th.halt_inflight = True
-                    th.fetch_gate_until = _FAR_FUTURE
-                    break
+                    uopq.append(instr)
+                    fetched_counts[th.tid] += 1
+                    th.uops_fetched += 1
+                    budget -= 1
+                    if tr is not None:
+                        tr.fetch(t, th.tid, instr)
+                    op = instr.op
+                    if op is _PAUSE:
+                        # De-pipeline the spin loop: stop fetching for a
+                        # while.
+                        th.fetch_gate_until = t + cfg.pause_fetch_gate
+                        break
+                    if op is _HALT:
+                        # Nothing may be fetched past a halt until the IPI.
+                        th.halt_inflight = True
+                        th.fetch_gate_until = _FAR_FUTURE
+                        break
+            if refill and uopq:
+                self._count_stall(th)
 
     # ------------------------------------------------------------------
 
@@ -677,12 +771,8 @@ class SMTCore:
         earliest of: a completion, a store-commit slot (if drains are
         queued), a wake-up, or a fetch gate expiring.
         """
-        all_done = True
         for th in self.threads:
-            state = th.state
-            if state is not ThreadState.DONE:
-                all_done = False
-            if state is ThreadState.ACTIVE:
+            if th.state is _ACTIVE:
                 if th.uopq or th.waiting:
                     return t + 1
                 if th.rob and th.rob[0].completed:
@@ -694,7 +784,7 @@ class SMTCore:
                     # transition itself is due at the next boundary's
                     # retire pass.
                     return t + 1
-        if all_done:
+        if self._n_done == len(self.threads):
             # Programs end at the last retirement; in-flight store
             # drains must not stretch the reported runtime.
             return t + 1
@@ -714,9 +804,9 @@ class SMTCore:
                 if rel:
                     nxt = min(nxt, rel[0])
         for th in self.threads:
-            if th.state is ThreadState.HALTED and th.wake_at < _FAR_FUTURE:
+            if th.state is _HALTED and th.wake_at < _FAR_FUTURE:
                 nxt = min(nxt, th.wake_at)
-            if th.state is ThreadState.ACTIVE and not th.gen_done:
+            if th.state is _ACTIVE and not th.gen_done:
                 nxt = min(nxt, th.fetch_gate_until)
         if nxt <= t:
             return t + 1
@@ -725,10 +815,10 @@ class SMTCore:
             # surviving thread is halted with no wake-up scheduled is
             # deadlocked; otherwise jump straight to the horizon, where
             # run()'s stop/limit checks take over.
-            alive = [th for th in self.threads if th.state is not ThreadState.DONE]
+            alive = [th for th in self.threads if th.state is not _DONE]
             if (
                 alive
-                and all(th.state is ThreadState.HALTED for th in alive)
+                and all(th.state is _HALTED for th in alive)
                 and all(th.wake_at >= _FAR_FUTURE for th in alive)
             ):
                 raise DeadlockError(

@@ -32,6 +32,7 @@ class ThreadContext:
         "uopq",
         "rob",
         "waiting",
+        "ready",
         "regmap",
         "lq_used",
         "sq_used",
@@ -57,7 +58,11 @@ class ThreadContext:
         self.state = ThreadState.ACTIVE
         self.uopq: deque[Instr] = deque()
         self.rob: deque[Instr] = deque()
+        # Unissued µops in age order, and the subset whose operands are
+        # all complete (also in age order): the issue queue and its
+        # wake-up list.
         self.waiting: list[Instr] = []
+        self.ready: list[Instr] = []
         self.regmap: dict[int, Instr] = {}
         self.lq_used = 0
         self.sq_used = 0
@@ -73,26 +78,6 @@ class ThreadContext:
         self.done_tick = -1
 
     # ------------------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        return self.state is ThreadState.ACTIVE
-
-    @property
-    def occupies_partition(self) -> bool:
-        """True while this thread's queue halves are reserved for it.
-
-        A halted or finished logical CPU has relinquished its statically
-        partitioned entries (the `halt` behaviour of §3.1).
-        """
-        return self.state is ThreadState.ACTIVE
-
-    def can_fetch(self, tick: int) -> bool:
-        return (
-            self.state is ThreadState.ACTIVE
-            and not self.gen_done
-            and tick >= self.fetch_gate_until
-        )
 
     def pipeline_empty(self) -> bool:
         return not self.uopq and not self.rob

@@ -34,27 +34,6 @@ class ExecUnit:
         self.next_free = 0
         self.last_tid = -1
 
-    def can_issue(self, tick: int) -> bool:
-        return tick >= self.next_free
-
-    def issue(self, tick: int, timing: OpTiming, tid: int,
-              switch_penalty: float) -> int:
-        """Occupy the unit; returns the completion tick.
-
-        Switching a *busy* unit between hardware threads costs a fraction
-        of the op's initiation interval (pipeline drain between
-        contexts).  A unit that has gone idle since its last op switches
-        for free — so sparse latency-bound chains (min-ILP streams)
-        interleave perfectly, while back-to-back contention pays.
-        """
-        penalty = 0
-        if tid != self.last_tid:
-            if self.last_tid >= 0 and tick < self.next_free + timing.interval:
-                penalty = int(timing.interval * switch_penalty)
-            self.last_tid = tid
-        self.next_free = tick + timing.interval + penalty
-        return tick + timing.latency + penalty
-
     def reset(self) -> None:
         self.next_free = 0
         self.last_tid = -1
@@ -114,21 +93,41 @@ class UnitPool:
 
         Returns ``(issued, completion_tick)``; for loads the returned
         completion tick excludes memory latency (the core adds the
-        hierarchy's answer).
+        hierarchy's answer).  On failure the second field is the
+        earliest tick a unit of the route frees up: ``op`` cannot issue
+        before it (units only ever get busier until then).
+
+        The chosen unit is occupied for the op's initiation interval.
+        Switching a *busy* unit between hardware threads costs a
+        fraction of that interval (pipeline drain between contexts).  A
+        unit that has gone idle since its last op switches for free — so
+        sparse latency-bound chains (min-ILP streams) interleave
+        perfectly, while back-to-back contention pays.
         """
         timing, route = self.dispatch[op]
         # Prefer a unit this thread used last (avoids the switch drain).
         for unit in route:
             if tick >= unit.next_free and unit.last_tid == tid:
-                comp = unit.issue(tick, timing, tid, self._switch_penalty)
-                self.issue_counts[unit.name] += 1
-                return True, comp
-        for unit in route:
-            if tick >= unit.next_free:
-                comp = unit.issue(tick, timing, tid, self._switch_penalty)
-                self.issue_counts[unit.name] += 1
-                return True, comp
-        return False, 0
+                break
+        else:
+            earliest = -1
+            for unit in route:
+                free = unit.next_free
+                if tick >= free:
+                    break
+                if earliest < 0 or free < earliest:
+                    earliest = free
+            else:
+                return False, earliest
+        penalty = 0
+        if tid != unit.last_tid:
+            last = unit.last_tid
+            if last >= 0 and tick < unit.next_free + timing.interval:
+                penalty = int(timing.interval * self._switch_penalty)
+            unit.last_tid = tid
+        unit.next_free = tick + timing.interval + penalty
+        self.issue_counts[unit.name] += 1
+        return True, tick + timing.latency + penalty
 
     def reset(self) -> None:
         for unit in self.units.values():

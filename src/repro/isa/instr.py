@@ -60,14 +60,19 @@ class Instr:
         "seq",
         "deps",
         "completed",
-        "comp_tick",
         "issued",
+        "pending",
+        "consumers",
     )
 
     # ``deps`` starts as the shared empty tuple and is rebound by the
     # core to the in-flight ``Instr`` objects this µop waits on —
-    # annotated loosely so both shapes type-check.
+    # annotated loosely so both shapes type-check.  ``pending`` counts
+    # the ones still incomplete (set at allocation); ``consumers`` lists
+    # the younger µops waiting on this one until it completes.
     deps: tuple
+    pending: int
+    consumers: Optional[list]
 
     def __init__(
         self,
@@ -88,11 +93,11 @@ class Instr:
         self.seq = -1
         self.deps = EMPTY
         self.completed = False
-        self.comp_tick = -1
         self.issued = False
-        if addr is None and (is_mem(op) or op is Op.PREFETCH):
+        self.consumers = None
+        if addr is None and op in _NEEDS_ADDR:
             raise ValueError(f"{op.name} requires an address")
-        if dst is None and not (is_store(op) or op in _NO_DST_OK):
+        if dst is None and op not in _NO_DST_OK:
             raise ValueError(f"{op.name} requires a destination register")
 
     # ------------------------------------------------------------------
@@ -148,4 +153,7 @@ class Instr:
         return f"Instr({', '.join(parts)})"
 
 
-_NO_DST_OK = frozenset({Op.NOP, Op.BRANCH, Op.PAUSE, Op.HALT, Op.PREFETCH})
+_NEEDS_ADDR = frozenset(op for op in Op if is_mem(op) or op is Op.PREFETCH)
+_NO_DST_OK = frozenset(
+    {Op.NOP, Op.BRANCH, Op.PAUSE, Op.HALT, Op.PREFETCH}
+    | {op for op in Op if is_store(op)})

@@ -128,7 +128,7 @@ class CompiledTrace:
         ins.seq = -1
         ins.deps = EMPTY
         ins.completed = False
-        ins.comp_tick = -1
+        ins.consumers = None
         ins.issued = False
         return ins
 
@@ -163,7 +163,7 @@ class CompiledTrace:
                 ins.seq = -1
                 ins.deps = EMPTY
                 ins.completed = False
-                ins.comp_tick = -1
+                ins.consumers = None
                 ins.issued = False
                 append(ins)
         else:
@@ -180,7 +180,7 @@ class CompiledTrace:
                 ins.seq = -1
                 ins.deps = EMPTY
                 ins.completed = False
-                ins.comp_tick = -1
+                ins.consumers = None
                 ins.issued = False
                 append(ins)
         self.pos = end
@@ -404,7 +404,7 @@ class TiledTrace:
         ins.seq = -1
         ins.deps = EMPTY
         ins.completed = False
-        ins.comp_tick = -1
+        ins.consumers = None
         ins.issued = False
         return ins
 
@@ -445,7 +445,7 @@ class TiledTrace:
                 ins.seq = -1
                 ins.deps = EMPTY
                 ins.completed = False
-                ins.comp_tick = -1
+                ins.consumers = None
                 ins.issued = False
                 append(ins)
             pos = stop

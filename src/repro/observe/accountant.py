@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 from repro.cpu.thread import ThreadState
 from repro.isa.opcodes import Op
+from repro.perfmon import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cpu.core import SMTCore
@@ -241,9 +242,10 @@ class CycleAccountant:
     def _alloc_reason(self, core: "SMTCore", th, t: int) -> str:
         """Why thread ``th`` could not fill an allocate slot at ``t``.
 
-        Mirrors the allocator's own gating order (``_allocate``): queue
-        partitions first, then the frontend.  Must be called *before*
-        the same boundary's fetch stage refills the µop queue.
+        Reads the allocator's own partition-cap and stall decision
+        (:meth:`SMTCore.alloc_stall`), frontend after that.  Must be
+        called *before* the same boundary's fetch stage refills the µop
+        queue.
         """
         state = th.state
         if state is ThreadState.DONE:
@@ -254,26 +256,21 @@ class CycleAccountant:
             if t < th.fetch_gate_until:
                 return PAUSE_GATED
             return FETCH_STARVED
-        cfg = core.config
-        peer = core._peer(th)
-        uop = th.uopq[0]
-        op = uop.op
-        if op is Op.ISTORE or op is Op.FSTORE:
-            cap = core._cap(th, cfg.storeq_total, peer.sq_used if peer else 0)
-            if th.sq_used >= cap:
-                return SQ_STALLED
-        elif op is Op.ILOAD or op is Op.FLOAD:
-            cap = core._cap(th, cfg.loadq_total, peer.lq_used if peer else 0)
-            if th.lq_used >= cap:
-                return LQ_STALLED
+        stall = core.alloc_stall(th, core.partition_caps(th))
+        if stall is Event.RESOURCE_STALL_SB:
+            return SQ_STALLED
+        if stall is Event.RESOURCE_STALL_LQ:
+            return LQ_STALLED
         return ROB_STALLED
 
     def _issue_reason(self, core: "SMTCore", th, t: int) -> str:
         """Why thread ``th`` could not fill an issue slot at ``t``.
 
-        Re-scans the thread's scheduler window the way the issue stage
-        did; only runs when the accountant is attached, so the core's
-        hot loop stays untouched.
+        Mirrors the issue stage's selection: the oldest ready µop inside
+        the scheduler window was left behind by a busy unit; otherwise
+        the window holds only µops waiting on operands.  Only runs when
+        the accountant is attached, so the core's hot loop stays
+        untouched.
         """
         state = th.state
         if state is ThreadState.DONE:
@@ -283,35 +280,20 @@ class CycleAccountant:
         waiting = th.waiting
         if waiting:
             window = core.config.sched_window
-            limit = window if window < len(waiting) else len(waiting)
-            saw_load_wait = False
-            saw_raw = False
-            for k in range(limit):
-                uop = waiting[k]
-                if uop.issued:
-                    continue
-                ready = True
-                for dep in uop.deps:
-                    if not dep.completed:
-                        ready = False
-                        dep_op = dep.op
-                        if dep_op is Op.ILOAD or dep_op is Op.FLOAD:
-                            saw_load_wait = True
-                        break
-                if not ready:
-                    saw_raw = True
-                    continue
-                # Ready but not issued: its unit(s) were busy.  Blame
-                # the unit closest to accepting it.
-                _, route = core.units.dispatch[int(uop.op)]
+            ready = th.ready
+            if ready and (len(waiting) <= window
+                          or ready[0].seq <= waiting[window - 1].seq):
+                # Blame the unit closest to accepting it.
+                _, route = core.units.dispatch[int(ready[0].op)]
                 unit = min(route, key=lambda u: u.next_free)
                 return UNIT_BUSY + unit.name
-            if saw_load_wait:
-                return MEM_MISS_OUTSTANDING
-            if saw_raw:
-                return RAW_WAIT
-            # Window exhausted by already-issued µops awaiting completion.
-            return EXEC_WAIT
+            for uop in waiting[:window]:
+                for dep in uop.deps:
+                    if not dep.completed:
+                        if dep.op is Op.ILOAD or dep.op is Op.FLOAD:
+                            return MEM_MISS_OUTSTANDING
+                        break
+            return RAW_WAIT
         # Nothing schedulable: look at the rest of the pipeline.
         rob = th.rob
         if rob:

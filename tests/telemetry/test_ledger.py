@@ -27,6 +27,10 @@ def ledger():
 
 
 def _entry(ledger, path, kind, data, host="host-a", **meta):
+    # A fixed calibration at the reference speed keeps reference-host
+    # units equal to the walls written here (and the tests
+    # independent of this host's speed).
+    meta.setdefault("calibration_s", ledger.CAL_REF_S)
     return ledger.append(kind, data, ledger_path=path, host=host,
                          git_sha="0" * 40, **meta)
 
@@ -113,6 +117,51 @@ class TestCheckRules:
         assert ok
         assert any("no same-host baseline" in line for line in lines)
 
+    def test_every_entry_records_its_calibration(self, ledger, tmp_path):
+        entry = ledger.append("bench_core", {"total_seconds": 1.0},
+                              ledger_path=tmp_path / "L.jsonl",
+                              git_sha="0" * 40)
+        assert entry["calibration_s"] > 0
+        assert ledger.read(tmp_path / "L.jsonl")[0]["calibration_s"] \
+            == entry["calibration_s"]
+
+    def test_walls_compare_in_reference_host_units(self, ledger, tmp_path):
+        path = tmp_path / "L.jsonl"
+        _entry(ledger, path, "bench_core", {"total_seconds": 10.0})
+        # Twice the wall on a host measured twice as slow: the same
+        # reference-host time, so no regression.
+        _entry(ledger, path, "bench_core", {"total_seconds": 20.0},
+               calibration_s=2 * ledger.CAL_REF_S)
+        ok, lines = ledger.check(path)
+        assert ok
+        assert any("ok   bench_core: wall 10.000s vs 10.000s" in line
+                   and "reference-host units" in line for line in lines)
+        # The same wall on a host measured twice as fast is a 2x
+        # regression the raw walls would hide.
+        _entry(ledger, path, "bench_core", {"total_seconds": 20.0},
+               calibration_s=ledger.CAL_REF_S)
+        ok, lines = ledger.check(path)
+        assert not ok
+        assert any("FAIL bench_core: wall 20.000s vs 10.000s" in line
+                   for line in lines)
+
+    def test_uncalibrated_baseline_compares_raw_walls(self, ledger,
+                                                      tmp_path):
+        # Entries recorded before calibration existed still gate, on
+        # raw walls (the units never mix).
+        path = tmp_path / "L.jsonl"
+        legacy = ledger.make_entry("bench_core", {"total_seconds": 10.0},
+                                   git_sha="0" * 40, host="host-a",
+                                   calibration_s=ledger.CAL_REF_S)
+        del legacy["calibration_s"]
+        path.write_text(json.dumps(legacy) + "\n")
+        _entry(ledger, path, "bench_core", {"total_seconds": 20.0},
+               calibration_s=2 * ledger.CAL_REF_S)
+        ok, lines = ledger.check(path)
+        assert not ok
+        assert any("FAIL bench_core: wall 20.000s vs 10.000s" in line
+                   and "reference-host" not in line for line in lines)
+
     def test_sweep_overhead_band(self, ledger, tmp_path):
         path = tmp_path / "L.jsonl"
         _entry(ledger, path, "bench_sweep",
@@ -148,6 +197,21 @@ class TestCheckRules:
         assert not ok
         assert any("FAIL bench_serve: warm-hit p50 2.000ms" in line
                    for line in lines)
+
+    def test_serve_warm_hit_gate_compares_raw_walls(self, ledger,
+                                                    tmp_path):
+        # Serve latencies are not scaled by the CPU calibration: a host
+        # measured twice as slow does not excuse a doubled warm p50.
+        path = tmp_path / "L.jsonl"
+        _entry(ledger, path, "bench_serve",
+               {"total_seconds": 1.0, "warm": {"p50_ms": 1.0}})
+        _entry(ledger, path, "bench_serve",
+               {"total_seconds": 1.0, "warm": {"p50_ms": 2.0}},
+               calibration_s=2 * ledger.CAL_REF_S)
+        ok, lines = ledger.check(path)
+        assert not ok
+        assert any("FAIL bench_serve: warm-hit p50 2.000ms vs 1.000ms"
+                   in line for line in lines)
 
     def test_serve_warm_hit_cross_host_never_gated(self, ledger,
                                                    tmp_path):
