@@ -52,14 +52,14 @@ def run_bench(quick: bool = False, log_dir=None) -> dict:
 
     # Arm A: telemetry off (the --no-telemetry path).
     sec_off, r_off = _timed(
-        lambda: sweep(SweepEngine(preflight=False, oracle=False)))
+        lambda: sweep(SweepEngine(check=False)))
 
     # Arm B: telemetry on, events to a scratch log.
     scratch = pathlib.Path(log_dir if log_dir is not None
                            else tempfile.mkdtemp(prefix="bench-sweep-"))
     log = scratch / "bench_sweep.jsonl"
     bus = TelemetryBus(str(log))
-    eng_on = SweepEngine(preflight=False, oracle=False, telemetry=bus)
+    eng_on = SweepEngine(check=False, telemetry=bus)
     sec_on, r_on = _timed(lambda: sweep(eng_on))
     bus.close()
 
@@ -72,9 +72,8 @@ def run_bench(quick: bool = False, log_dir=None) -> dict:
     # (the cache aggregate, not another telemetry measurement).
     cache_dir = scratch / "cache"
     _timed(lambda: sweep(SweepEngine(cache=ResultCache(cache_dir),
-                                     preflight=False, oracle=False)))
-    warm_eng = SweepEngine(cache=ResultCache(cache_dir),
-                           preflight=False, oracle=False)
+                                     check=False)))
+    warm_eng = SweepEngine(cache=ResultCache(cache_dir), check=False)
     sec_warm, _ = _timed(lambda: sweep(warm_eng))
 
     cells = len(r_off)

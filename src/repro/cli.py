@@ -112,16 +112,9 @@ from repro.common.errors import (
     UsageError,
     format_cli_error,
 )
-from repro.core import (
-    app_sweep,
-    coexec_sweep,
-    fig1_sweep,
-    measure_stream_cpi,
-    run_app_experiment,
-    table1_rows,
-)
+from repro.core import measure_stream_cpi, run_app_experiment
 from repro.core.apps import APP_SIZES
-from repro.core.coexec import FIG2A_STREAMS, FIG2B_STREAMS, FIG2C_PAIRS
+from repro.core.coexec import fig2_panel_pairs
 from repro.cpu.config import CoreConfig
 from repro.isa import ILP
 from repro.mem.config import MemConfig
@@ -133,6 +126,7 @@ from repro.observe import (
     write_report,
 )
 from repro.sweep import ResultCache, SweepEngine
+from repro.sweep.targets import app_size_dict, resolve_target
 from repro.workloads.common import Variant
 
 _ILP = {"min": ILP.MIN, "med": ILP.MED, "max": ILP.MAX}
@@ -374,16 +368,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _size_dict(app: str, size: Optional[int]) -> dict:
-    if size is None:
-        return APP_SIZES[app][min(1, len(APP_SIZES[app]) - 1)]
-    if app in ("mm", "lu"):
-        return {"n": size}
-    if app == "bt":
-        return {"grid": size}
-    raise UsageError("cg has a fixed scaled size; omit --size")
-
-
 def _make_engine(args: argparse.Namespace) -> SweepEngine:
     """Build the sweep engine the command's flags describe.
 
@@ -415,9 +399,7 @@ def _make_engine(args: argparse.Namespace) -> SweepEngine:
                                            prefix=args.command)
             bus = _telemetry.TelemetryBus(path)
     return SweepEngine(jobs=args.jobs, cache=cache, fresh=args.fresh,
-                       preflight=not args.no_check,
-                       oracle=not args.no_check,
-                       telemetry=bus)
+                       check=not args.no_check, telemetry=bus)
 
 
 def _sweep_note(engine: SweepEngine) -> None:
@@ -470,72 +452,44 @@ def _write_trace(tracer: PipelineTracer, path: str) -> None:
     print(f"wrote {n} trace events to {path}{note}", file=sys.stderr)
 
 
-def _cmd_fig1(args: argparse.Namespace) -> int:
-    from repro.core.streams import FIG1_STREAMS
-    from repro.model import fig1_model_section
-
-    streams = FIG1_STREAMS
-    if args.streams is not None:
-        streams = tuple(s for s in
-                        (p.strip() for p in args.streams.split(","))
-                        if s)
-        if not streams:
-            raise UsageError("--streams must name at least one stream")
+def _sweep(args: argparse.Namespace, params: dict) -> tuple:
+    """Run one sweep target through the engine the flags describe;
+    returns ``(rows, report)``."""
+    target = resolve_target(params)
     engine = _make_engine(args)
-    results = fig1_sweep(streams=streams, engine=engine)
-    report = build_report("fig1", results, core_config=CoreConfig(),
-                          mem_config=MemConfig(),
-                          sweep=engine.stats.to_dict(),
-                          model=fig1_model_section(results),
-                          telemetry=_telemetry_section(engine))
+    rows = target.assemble(engine.run(target.cells))
+    report = target.report(rows, sweep=engine.stats.to_dict(),
+                           telemetry=_telemetry_section(engine))
     _sweep_note(engine)
-    _emit(args, report, render_fig1(results))
+    return rows, report
+
+
+def _cmd_fig1(args: argparse.Namespace) -> int:
+    rows, report = _sweep(args, {"target": "fig1",
+                                 "streams": args.streams})
+    _emit(args, report, render_fig1(rows))
     return 0
 
 
-def _cmd_fig2(args: argparse.Namespace) -> int:
-    engine = _make_engine(args)
-    panel, ilp = args.panel, _ILP[args.ilp]
-    if panel == "a":
-        pairs = [(a, b) for i, a in enumerate(FIG2A_STREAMS)
-                 for b in FIG2A_STREAMS[i:]]
-        title = f"fp x fp pairs ({ilp.name.lower()} ILP)"
-    elif panel == "b":
-        pairs = [(a, b) for i, a in enumerate(FIG2B_STREAMS)
-                 for b in FIG2B_STREAMS[i:]]
-        title = f"int x int pairs ({ilp.name.lower()} ILP)"
-    else:
-        pairs = list(FIG2C_PAIRS)
-        title = f"fp x int pairs ({ilp.name.lower()} ILP)"
-    results = coexec_sweep(pairs, ilp=ilp, engine=engine)
-    from repro.model import fig2_model_section
+_FIG2_TITLES = {"a": "fp x fp", "b": "int x int", "c": "fp x int"}
 
-    report = build_report(f"fig2{panel}", results, core_config=CoreConfig(),
-                          mem_config=MemConfig(),
-                          sweep=engine.stats.to_dict(),
-                          model=fig2_model_section(results),
-                          telemetry=_telemetry_section(engine),
-                          extra={"panel": panel, "ilp": ilp.name.lower()})
-    _sweep_note(engine)
-    _emit(args, report, render_fig2(results, f"Figure 2({panel}) — {title}"))
+
+def _cmd_fig2(args: argparse.Namespace) -> int:
+    rows, report = _sweep(args, {"target": "fig2", "panel": args.panel,
+                                 "ilp": args.ilp})
+    title = f"{_FIG2_TITLES[args.panel]} pairs ({args.ilp} ILP)"
+    _emit(args, report,
+          render_fig2(rows, f"Figure 2({args.panel}) — {title}"))
     return 0
 
 
 def _cmd_app(args: argparse.Namespace) -> int:
     name = args.name
-    size_d = _size_dict(name, args.size)
     if args.variant is None:
         if args.trace:
             raise UsageError("--trace records one run; pick it with --variant")
-        engine = _make_engine(args)
-        results = app_sweep(name, sizes=[size_d], engine=engine)
-        report = build_report(f"app-{name}", results,
-                              core_config=CoreConfig(),
-                              mem_config=MemConfig(),
-                              sweep=engine.stats.to_dict(),
-                              telemetry=_telemetry_section(engine),
-                              extra={"size": size_d})
-        _sweep_note(engine)
+        results, report = _sweep(args, {"target": "app", "name": name,
+                                        "size": args.size})
         _emit(args, report, render_app_figure(results))
         status = 0
         if args.check:
@@ -546,6 +500,7 @@ def _cmd_app(args: argparse.Namespace) -> int:
             if any(not c.holds for c in checks):
                 status = 1
         return status
+    size_d = app_size_dict(name, args.size)
     if args.jobs != 1:
         raise UsageError("--jobs parallelizes sweeps; it does not apply "
                          "to a single --variant run")
@@ -577,13 +532,7 @@ def _cmd_app(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    engine = _make_engine(args)
-    rows = table1_rows(engine=engine)
-    report = build_report("table1", rows, core_config=CoreConfig(),
-                          mem_config=MemConfig(),
-                          sweep=engine.stats.to_dict(),
-                          telemetry=_telemetry_section(engine))
-    _sweep_note(engine)
+    rows, report = _sweep(args, {"target": "table1"})
     _emit(args, report, render_table1(rows))
     return 0
 
@@ -832,13 +781,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
             stream_entries.append({"stream": name, "ilp": ilp.name,
                                    "solo": solo.to_dict(),
                                    "dual": dual.to_dict()})
-    fig2_pairs = (
-        [(a, b) for i, a in enumerate(FIG2A_STREAMS)
-         for b in FIG2A_STREAMS[i:]]
-        + [(a, b) for i, a in enumerate(FIG2B_STREAMS)
-           for b in FIG2B_STREAMS[i:]]
-        + list(FIG2C_PAIRS)
-    )
+    fig2_pairs = [pair for panel in "abc"
+                  for pair in fig2_panel_pairs(panel)]
     pair_entries = []
     pair_table = []
     for ilp in ilps:
@@ -906,8 +850,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         scheduler = CellScheduler(
             cache_dir=None if args.no_cache else args.cache_dir,
             jobs=args.jobs,
-            preflight=not args.no_check,
-            oracle=not args.no_check,
+            check=not args.no_check,
             telemetry_dir=args.telemetry_dir,
             telemetry=not args.no_telemetry,
         )

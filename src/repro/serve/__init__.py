@@ -7,8 +7,9 @@ resident: a persistent worker pool behind an asyncio HTTP/JSON daemon,
 with two performance pillars:
 
 * a **warm-hit fast path** that answers straight from the object
-  store — no pool dispatch, no preflight, no oracle re-run (the stored
-  entry passed both when it was computed) — microseconds per cell,
+  store: no pool dispatch, and no oracle re-run for an entry whose
+  stored provenance says the current model's oracle accepted it;
+  preflight runs once per cell per daemon.  Microseconds per cell,
   single-digit milliseconds per HTTP batch;
 * **single-flight request coalescing** keyed on the cell's existing
   cache key — N concurrent clients asking for the same in-flight cell
@@ -17,12 +18,9 @@ with two performance pillars:
 Modules:
 
 * :mod:`repro.serve.coalesce`  — the single-flight table;
-* :mod:`repro.serve.store`     — cache adapter (probe / publish /
-  discard) shared by warm and cold paths;
+* :mod:`repro.serve.store`     — the store adapter and its provenance
+  rule;
 * :mod:`repro.serve.scheduler` — persistent pool, counters, telemetry;
-* :mod:`repro.serve.targets`   — named sweep targets (fig1/fig2/app/
-  table1) resolved to cells + the exact CLI report, so served
-  manifests are byte-identical to the CLI's by construction;
 * :mod:`repro.serve.app`       — the stdlib-only asyncio HTTP server
   (JSON endpoints + server-sent-event telemetry stream);
 * :mod:`repro.serve.client`    — blocking HTTP client used by the
@@ -33,7 +31,7 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.coalesce import Flight, SingleFlight
 from repro.serve.scheduler import CellScheduler, ServeCounters
 from repro.serve.store import CacheAdapter
-from repro.serve.targets import resolve_target
+from repro.sweep.targets import resolve_target
 
 __all__ = [
     "CacheAdapter",

@@ -47,7 +47,7 @@ from repro import __version__
 from repro.common.errors import CheckError, ConfigError, UsageError
 from repro.observe.report import strip_volatile
 from repro.serve.scheduler import CellScheduler
-from repro.serve.targets import manifest_bytes, parse_cells, resolve_target
+from repro.sweep.targets import manifest_bytes, parse_cells, resolve_target
 
 #: Request-body ceiling — a cell batch is small; anything bigger is a
 #: client bug, rejected before buffering it.

@@ -1,30 +1,30 @@
 """The serving scheduler: persistent pool, warm fast path, coalescing.
 
 One :class:`CellScheduler` lives for the whole daemon.  Its
-:meth:`fetch` is the single entry point every request handler uses;
-per batch of cells it:
+:meth:`fetch` is the single entry point every request handler uses,
+and it drives the same cell pipeline as the CLI
+(:class:`repro.sweep.engine.CellPipeline`).  Per batch of cells:
 
-1. **probes** the object store — warm hits are answered immediately
-   (no preflight, no pool, no oracle; the stored entry passed both
-   when it was computed);
-2. enters the **single-flight table** for every miss: this request
+1. **preflight** every cell, remembered per daemon: a long-lived
+   daemon runs it once per cell, not once per request, and a stale
+   cell is rejected (422) even when an entry for it is on disk;
+2. **key** and **probe** the object store.  A hit whose provenance
+   names the running model's oracle fingerprint is answered straight
+   away: no flights, no pool, no oracle.  Any other hit is re-run
+   through the oracle first, and republished with provenance if it
+   passes; if it fails, the request fails and the entry is never
+   served;
+3. enter the **single-flight table** for every miss: this request
    leads the cells nobody else is computing and joins the flights of
    cells already in the air;
-3. runs the engine's static **preflight** over the led cells only,
-   then shards them across the **persistent worker pool**
-   (``apply_async`` per cell — submission-order collection keeps
-   results deterministic);
-4. cross-checks fresh results against the analytic model (the same
-   differential oracle the engine runs), **publishes** them to the
-   store only once the oracle accepts, and then lands the flights —
-   neither joiners nor independent requests probing the store can
-   ever observe a result the oracle rejected, because a rejected
-   result never reaches the store in the first place.
+4. the leader shards its cells across the **persistent worker pool**,
+   runs the oracle over the fresh results, **publishes** them with
+   provenance only once the oracle accepts, and then lands the
+   flights.  Neither joiners nor later probes can observe a result
+   the oracle rejected.
 
-Everything the engine's workers do is reused verbatim
-(:func:`repro.sweep.engine._execute_task` and ``_pool_init``), so a
-cell computed by the daemon is byte-identical to one computed by the
-CLI — and the two share cache warmth in both directions.
+A cell computed by the daemon is byte-identical to one computed by
+the CLI, and the two share cache warmth in both directions.
 
 Counters (:class:`ServeCounters`) are the observable contract the
 benchmarks assert on: a warm batch must leave ``pool_dispatches``
@@ -35,18 +35,16 @@ exactly one ``simulations`` increment.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import CheckError, ConfigError
+from repro.common.errors import ConfigError
 from repro.serve.coalesce import SingleFlight
-from repro.serve.store import CacheAdapter
 from repro.sweep.cache import ResultCache
-from repro.sweep.cells import SweepCell, cell_label, runner_for
-from repro.sweep.engine import _execute_task, _pool_init
+from repro.sweep.cells import SweepCell, runner_for
+from repro.sweep.engine import CellPipeline
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.bus import now as _now
 
@@ -128,24 +126,21 @@ class BatchOutcome:
 
 class CellScheduler:
     """Executes cell batches for the daemon; safe to call from any
-    number of request-handler threads concurrently."""
+    number of request-handler threads concurrently.  ``check=False``
+    skips the preflight and the oracle."""
 
     def __init__(
         self,
         cache_dir: Optional[str] = None,
         jobs: int = 1,
-        preflight: bool = True,
-        oracle: bool = True,
+        check: bool = True,
         telemetry_dir: Optional[str] = None,
         telemetry: bool = True,
     ):
         if not isinstance(jobs, int) or jobs < 1:
             raise ConfigError("jobs must be a positive integer")
         self.jobs = jobs
-        self.preflight = preflight
-        self.oracle = oracle
         cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.store = CacheAdapter(cache)
         self.counters = ServeCounters()
         self._flights = SingleFlight()
         self._pool: Optional[Any] = None
@@ -158,6 +153,14 @@ class CellScheduler:
                 path = _telemetry.new_log_path(telemetry_dir,
                                                prefix="serve")
                 self.bus = TelemetryBus(path)
+        self.pipeline = CellPipeline(cache, check=check, bus=self.bus,
+                                     on_reject=self._reject)
+
+    def _reject(self, counter: str, n: int) -> None:
+        # The daemon files compose-pass rejections under preflight.
+        if counter == "pair_cert_rejected":
+            counter = "preflight_rejected"
+        self.counters.add(errors=1, **{counter: n})
 
     # -- pool lifecycle ------------------------------------------------
 
@@ -174,17 +177,7 @@ class CellScheduler:
     def _ensure_pool(self) -> Any:
         with self._pool_lock:
             if self._pool is None:
-                methods = multiprocessing.get_all_start_methods()
-                ctx = multiprocessing.get_context(
-                    "fork" if "fork" in methods else None)
-                from repro.cpu.fastpath import default_enabled
-
-                tel_path = self.bus.path if self.bus is not None else None
-                run_id = self.bus.run_id if self.bus is not None else None
-                self._pool = ctx.Pool(
-                    processes=self.jobs,
-                    initializer=_pool_init,
-                    initargs=(default_enabled(), tel_path, run_id))
+                self._pool = self.pipeline.make_pool(self.jobs)
             return self._pool
 
     def close(self) -> None:
@@ -209,29 +202,17 @@ class CellScheduler:
         t0 = _now()
         n = len(cells)
         outcome = BatchOutcome(cells=n)
-        keys = [cell.key() for cell in cells]
-        labels = [cell_label(cell) for cell in cells]
         bus = self.bus
         if bus is not None:
             bus.emit("sweep-begin", cells=n, jobs=self.jobs,
-                     cache_enabled=self.store.enabled)
+                     cache_enabled=self.pipeline.store.enabled)
 
-        # Phase 1: the warm fast path.  Nothing below this loop runs
-        # for a fully-warm batch — no flights, no preflight, no pool.
-        texts: List[Optional[str]] = [None] * n
-        miss_idx: List[int] = []
-        probe_t0 = _now()
-        for i, cell in enumerate(cells):
-            text = None if fresh else self.store.probe(cell, keys[i])
-            if text is not None:
-                texts[i] = text
-                outcome.warm_hits += 1
-                if bus is not None:
-                    bus.emit("cache-hit", idx=i, cell=labels[i])
-            else:
-                miss_idx.append(i)
-        if bus is not None:
-            bus.emit("phase", name="probe", wall_s=_now() - probe_t0)
+        # The warm fast path: a batch of proven hits ends here.
+        keys, labels, payloads, miss_idx = self.pipeline.begin(
+            cells, fresh=fresh, keyed=True)
+        texts: List[Optional[str]] = [
+            None if p is None else json.dumps(p) for p in payloads]
+        outcome.warm_hits = n - len(miss_idx)
         outcome.misses = len(miss_idx)
 
         if miss_idx:
@@ -303,9 +284,7 @@ class CellScheduler:
         # Led flights are resolved by _lead itself; joined ones by
         # whichever request leads them.  Either way the flight now
         # holds the canonical text.
-        for i, flight in led:
-            texts[i] = flight.wait(FLIGHT_TIMEOUT_S)
-        for i, flight in joined:
+        for i, flight in led + joined:
             texts[i] = flight.wait(FLIGHT_TIMEOUT_S)
 
     def _lead(self, cells: Sequence[SweepCell], keys: List[str],
@@ -315,92 +294,37 @@ class CellScheduler:
 
         Every led flight is landed exactly once no matter how this
         method exits.  Success resolves each flight with its canonical
-        text; *any* exception — a check rejection, a worker exception
+        text; *any* exception (an oracle rejection, a worker exception
         re-raised by the pool, pool construction failure, a store
-        error — fails every still-open flight before propagating.  A
+        error) fails every still-open flight before propagating.  A
         flight left unlanded would wedge its key permanently: current
         joiners block out FLIGHT_TIMEOUT_S and every future request
         joins the dead flight instead of leading a new one.
         """
-        bus = self.bus
         idxs = [i for i, _f in led]
-        flights = {i: f for i, f in led}
-
-        def _fail_all(err: BaseException) -> None:
-            for i in idxs:
-                if not flights[i].event.is_set():
-                    self._flights.finish(flights[i], error=err)
-
+        flights = dict(led)
         try:
-            t0 = _now()
-            if self.preflight:
-                from repro.check.preflight import preflight_cells
-
-                try:
-                    preflight_cells([cells[i] for i in idxs])
-                except CheckError as e:
-                    self.counters.add(preflight_rejected=len(idxs),
-                                      errors=1)
-                    if bus is not None:
-                        bus.emit("cell-end", idx=-1, cell="preflight",
-                                 wall_s=_now() - t0, fastpath={},
-                                 rejected=len(idxs),
-                                 check=getattr(e, "check", "")
-                                 or "preflight")
-                    raise
-            if bus is not None:
-                bus.emit("phase", name="preflight", wall_s=_now() - t0)
-
             t0 = _now()
             outcomes = self._execute([(i, cells[i], labels[i], t0)
                                       for i in idxs])
-            if bus is not None:
-                bus.emit("phase", name="execute", wall_s=_now() - t0)
-
             payloads = {i: json.loads(text)
                         for i, (text, _meta) in zip(idxs, outcomes)}
-
-            t0 = _now()
-            if self.oracle:
-                from repro.model.oracle import oracle_cells
-
-                try:
-                    oracle_cells(
-                        [cells[i] for i in idxs],
-                        [runner_for(cells[i].kind).decode(payloads[i])
-                         for i in idxs])
-                except CheckError:
-                    self.counters.add(oracle_failed=len(idxs), errors=1)
-                    raise
-            if bus is not None:
-                bus.emit("phase", name="oracle", wall_s=_now() - t0)
-
-            # Publish strictly after the oracle accepts.  The warm
-            # path (and any concurrent request probing the store)
-            # skips the oracle, so a rejected result must never reach
-            # the store — not even transiently between a publish and a
-            # later discard.
-            t0 = _now()
-            for i in idxs:
-                self.store.publish(cells[i], keys[i], payloads[i])
-            if bus is not None:
-                bus.emit("phase", name="store", wall_s=_now() - t0)
-
+            self.pipeline.settle(cells, keys, idxs, payloads)
             for i, (text, _meta) in zip(idxs, outcomes):
                 self._flights.finish(flights[i], text=text)
         except BaseException as e:
-            _fail_all(e)
+            for i in idxs:
+                if not flights[i].event.is_set():
+                    self._flights.finish(flights[i], error=e)
             raise
 
     def _execute(self, tasks: List[Tuple[int, SweepCell, str, float]],
                  ) -> List[Tuple[str, dict]]:
         """Shard led cells across the persistent pool, in order."""
         pool = self._ensure_pool()
-        pending = []
-        for task in tasks:
-            pending.append(pool.apply_async(_execute_task, (task,)))
-            self.counters.add(pool_dispatches=1, simulations=1)
-        return [p.get() for p in pending]
+        self.counters.add(pool_dispatches=len(tasks),
+                          simulations=len(tasks))
+        return self.pipeline.execute(tasks, pool=pool)
 
     # -- introspection -------------------------------------------------
 
@@ -412,9 +336,8 @@ class CellScheduler:
             "pid": os.getpid(),
             "jobs": self.jobs,
             "pool_live": self._pool is not None,
-            "preflight": self.preflight,
-            "oracle": self.oracle,
-            "cache": self.store.describe(),
+            "check": self.pipeline.check,
+            "cache": self.pipeline.store.describe(),
             "telemetry": ({"log": self.bus.path, "run": self.bus.run_id}
                           if self.bus is not None else None),
             "in_flight": self._flights.in_flight(),

@@ -1,80 +1,22 @@
-"""The server's view of the content-addressed object store.
+"""The daemon's view of the content-addressed object store.
 
-The adapter speaks the *exact* entry dialect the sweep engine writes
-(``cache_schema_version`` / ``repro_version`` / ``kind`` / ``config``
-/ ``result``), so warmth is shared both ways: a CLI sweep warms the
-daemon, a served sweep warms the next CLI run.  Three operations:
+The daemon and the CLI share one store through one adapter
+(:class:`repro.sweep.cache.CacheAdapter`), driven by one cell pipeline
+(:class:`repro.sweep.engine.CellPipeline`), so warmth is shared both
+ways.  The provenance rule is enforced by the stored data:
 
-* :meth:`probe` — the warm fast path.  One ``open`` + ``json.load``
-  per cell, microseconds each; a hit never touches the pool, never
-  re-runs preflight, and never re-runs the oracle (the entry passed
-  both when it was stored — the content-addressed key guarantees the
-  stored bytes still describe this exact cell).
-* :meth:`publish` — store a fresh result under the engine's entry
-  shape (atomic tmp-file + rename, via :class:`ResultCache`).  The
-  scheduler only calls this after the model oracle has accepted the
-  result, so nothing probe can return was ever oracle-rejected.
-* :meth:`discard` — drop a stored entry (administrative
-  invalidation; the cold path itself never needs it because rejected
-  results are never published).
+* an entry is published only after the model oracle accepted its
+  result, and records ``provenance.oracle``, the model fingerprint it
+  was accepted under;
+* a probed entry whose fingerprint matches the running model is served
+  without re-running the oracle;
+* any other entry (written with checks off, before provenance existed,
+  or under an older model) is re-run through the oracle before it is
+  served: accepted, it is republished with provenance; rejected, the
+  request fails with :class:`~repro.common.errors.ModelViolation` (422)
+  and the entry is never served.
 """
 
-from __future__ import annotations
+from repro.sweep.cache import CacheAdapter
 
-import json
-from typing import Any, Dict, Optional
-
-from repro import __version__
-from repro.sweep.cache import ResultCache
-from repro.sweep.cells import SweepCell
-from repro.sweep.keys import CACHE_SCHEMA_VERSION
-
-
-class CacheAdapter:
-    """Probe/publish/discard against one :class:`ResultCache`."""
-
-    def __init__(self, cache: Optional[ResultCache]):
-        self.cache = cache
-
-    @property
-    def enabled(self) -> bool:
-        return self.cache is not None
-
-    def probe(self, cell: SweepCell, key: str) -> Optional[str]:
-        """Return the cell's canonical payload text on a warm hit.
-
-        The text is ``json.dumps`` of the stored ``result`` payload —
-        the same canonical encoding a worker returns — so warm and
-        cold paths hand byte-compatible material to the response
-        builder.  A torn or foreign entry degrades to a miss (the
-        :class:`ResultCache` corruption guard), never to served
-        garbage.
-        """
-        if self.cache is None:
-            return None
-        entry = self.cache.get(key)
-        if entry is None or entry.get("kind") != cell.kind:
-            return None
-        return json.dumps(entry["result"])
-
-    def publish(self, cell: SweepCell, key: str, payload: Dict[str, Any],
-                ) -> None:
-        if self.cache is None:
-            return
-        self.cache.put(key, {
-            "cache_schema_version": CACHE_SCHEMA_VERSION,
-            "repro_version": __version__,
-            "kind": cell.kind,
-            "config": cell.config,
-            "result": payload,
-        })
-
-    def discard(self, key: str) -> None:
-        if self.cache is not None:
-            self.cache.discard(key)
-
-    def describe(self) -> Dict[str, Any]:
-        if self.cache is None:
-            return {"enabled": False}
-        return {"enabled": True, "dir": str(self.cache.root),
-                "objects": len(self.cache)}
+__all__ = ["CacheAdapter"]

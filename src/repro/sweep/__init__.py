@@ -8,12 +8,18 @@ driver into a cell enumerator and centralizes execution:
 
 * :class:`SweepCell` — one self-contained, picklable measurement
   (:mod:`repro.sweep.cells`);
+* :class:`~repro.sweep.engine.CellPipeline` — the one path a batch of
+  cells takes (preflight, key, probe, execute, oracle, publish), shared
+  by :class:`SweepEngine` and the ``repro serve`` scheduler;
 * :class:`SweepEngine` — ordered, deterministic fan-out across a
   ``multiprocessing`` pool (``jobs=1`` = the old serial path) with
   per-cell memoization (:mod:`repro.sweep.engine`);
 * :class:`ResultCache` — on-disk content-addressed store keyed by a
   canonical hash of (cell config, simulator config, schema version,
-  repro version) (:mod:`repro.sweep.cache`, :mod:`repro.sweep.keys`).
+  repro version); each entry records the model fingerprint the oracle
+  accepted it under (:mod:`repro.sweep.cache`, :mod:`repro.sweep.keys`);
+* :func:`~repro.sweep.targets.resolve_target` — the named sweep
+  targets (fig1/fig2/app/table1) behind the CLI verbs and the daemon.
 
 Determinism is the design invariant: a sweep run with ``--jobs 4``,
 ``--jobs 1``, or entirely from a warm cache yields byte-identical

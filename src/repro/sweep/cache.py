@@ -8,6 +8,12 @@ entry; re-running the sweep resumes from whatever completed.
 
 Corrupt or unreadable entries are never fatal: ``get`` warns and
 reports a miss, and the engine recomputes and overwrites the entry.
+
+:class:`CacheAdapter` is the cell pipeline's view of the store and the
+one place an entry is built.  An entry carries ``provenance.oracle``,
+the model fingerprint under which the oracle accepted its result, only
+when the oracle did accept it; entries written with checks off carry
+none.
 """
 
 from __future__ import annotations
@@ -17,9 +23,11 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Dict, Optional, Union
 
+from repro import __version__
 from repro.common.errors import CacheError
+from repro.sweep.keys import CACHE_SCHEMA_VERSION
 
 
 class ResultCache:
@@ -103,23 +111,51 @@ class ResultCache:
             warnings.warn(f"cannot write sweep-cache entry {path}: {e}",
                           RuntimeWarning, stacklevel=2)
 
-    def discard(self, key: str) -> None:
-        """Remove ``key``'s entry if present (idempotent).
-
-        Used by the serve scheduler when the model oracle rejects a
-        result *after* it was stored: a provably-out-of-bounds entry
-        must not survive to be served from the warm path, which
-        deliberately skips the oracle.
-        """
-        try:
-            os.unlink(self._path(key))
-        except FileNotFoundError:
-            pass
-        except OSError as e:
-            warnings.warn(f"cannot discard sweep-cache entry "
-                          f"{self._path(key)}: {e}",
-                          RuntimeWarning, stacklevel=2)
-
     def __len__(self) -> int:
         objects = self.root / "objects"
         return sum(1 for _ in objects.glob("*/*.json"))
+
+
+class CacheAdapter:
+    """Kind-checked probes and provenance-stamped publishes against one
+    :class:`ResultCache` (or none: every probe misses, publishes drop)."""
+
+    def __init__(self, cache: Optional[ResultCache]):
+        self.cache = cache
+
+    @property
+    def enabled(self) -> bool:
+        return self.cache is not None
+
+    def probe(self, cell: Any, key: str) -> Optional[dict]:
+        """The stored entry for ``cell``, or None.  A torn or foreign
+        entry degrades to a miss, never to served garbage."""
+        if self.cache is None:
+            return None
+        entry = self.cache.get(key)
+        if entry is None or entry.get("kind") != cell.kind:
+            return None
+        return entry
+
+    def publish(self, cell: Any, key: str, payload: Dict[str, Any],
+                oracle: Optional[str]) -> None:
+        """Store ``payload``; ``oracle`` is the model fingerprint the
+        oracle accepted it under (None: it never ran)."""
+        if self.cache is None:
+            return
+        entry = {
+            "cache_schema_version": CACHE_SCHEMA_VERSION,
+            "repro_version": __version__,
+            "kind": cell.kind,
+            "config": cell.config,
+            "result": payload,
+        }
+        if oracle is not None:
+            entry["provenance"] = {"oracle": oracle}
+        self.cache.put(key, entry)
+
+    def describe(self) -> Dict[str, Any]:
+        if self.cache is None:
+            return {"enabled": False}
+        return {"enabled": True, "dir": str(self.cache.root),
+                "objects": len(self.cache)}

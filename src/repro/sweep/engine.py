@@ -1,46 +1,60 @@
-"""The sweep engine: fan cells out, collect results in order, memoize.
+"""The cell pipeline and the sweep engine.
 
-The engine is the single execution path for every figure/table sweep:
+One pipeline (:class:`CellPipeline`) carries every batch of cells in
+both front ends: :class:`SweepEngine` drives it synchronously for the
+CLI, the benchmarks and the drivers, and
+:class:`repro.serve.scheduler.CellScheduler` drives it inside its
+single-flight table for ``repro serve``.  Per batch it runs:
 
-1. each cell's content hash is looked up in the :class:`ResultCache`
-   (unless caching is off or ``fresh`` forces recomputation);
-2. the missing cells are executed — in-process when ``jobs == 1``
-   (exactly the old serial behaviour), or across a ``multiprocessing``
-   pool otherwise; ``pool.map`` preserves submission order, so result
-   collection is deterministic regardless of completion order;
-3. every result, fresh or cached, is round-tripped through the same
-   canonical JSON encoding before being handed back, so serial,
-   parallel and warm-cache runs of the same sweep produce
-   byte-identical reports (modulo wall-time fields).
+1. **preflight** over every cell (:func:`repro.check.preflight_cells`),
+   remembered per pipeline for each cell that passed.  It runs ahead of
+   the key because an app cell's key reuses the certificate
+   fingerprints preflight recorded;
+2. **key** and **probe** the content-addressed :class:`ResultCache`;
+3. **execute** the misses: in-process when ``jobs == 1``, or across a
+   ``multiprocessing`` pool whose ``map`` preserves submission order;
+4. the model **oracle** over the fresh results and over every hit the
+   oracle has not accepted under the current :func:`oracle_fingerprint`;
+5. **publish** (the ``store`` phase) those results, each stamped with
+   that fingerprint, only once the oracle accepted them.
+
+``check=False`` skips steps 1 and 4; what it publishes carries no
+provenance, so a later checked run re-oracles it before serving it.
+Every result, fresh or cached, goes through the same canonical JSON
+encoding, so serial, parallel and warm-cache runs of the same sweep
+produce byte-identical reports (modulo wall-time fields).
 
 Workers execute :func:`_execute_cell`, a module-level function, so the
 only thing pickled per task is the (small, self-contained) cell.
 
 Telemetry (:mod:`repro.telemetry`) rides along as a pure observer:
-when the engine carries a bus, the parent emits sweep/phase/cache
+when the pipeline carries a bus, the parent emits sweep/phase/cache
 events and every worker emits per-cell begin/end spans (with the
 cell's fastpath counter deltas) to the same JSONL log.  Workers also
-return a small metadata record next to each result text; the parent
+return a small metadata record next to each result text; the engine
 folds those into :class:`SweepStats` regardless of whether a bus is
 attached.  Nothing telemetry-derived may influence results, cache
-entries, or non-volatile report bytes — the equivalence suite holds
+entries, or non-volatile report bytes; the equivalence suite holds
 reports byte-identical with telemetry on vs off.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import __version__
 from repro.common.errors import CheckError, ConfigError
 from repro.cpu import fastpath as _fastpath
-from repro.sweep.cache import ResultCache
+from repro.sweep.cache import CacheAdapter, ResultCache
 from repro.sweep.cells import SweepCell, cell_label, runner_for
-from repro.sweep.keys import CACHE_SCHEMA_VERSION
+from repro.sweep.keys import canonical_json
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.bus import now as _now
 
@@ -113,9 +127,10 @@ class SweepStats:
     """Cache/parallelism accounting for one engine's sweeps.
 
     Hit/miss/cell totals count *measurements that stand*: a batch that
-    fails preflight or the model oracle is recorded under
-    ``preflight_rejected``/``oracle_failed`` instead — a rejected cell
-    is not a cache outcome, and an oracle-violating batch produced no
+    fails preflight is recorded under ``preflight_rejected`` (all its
+    cells) and one the model oracle rejects under ``oracle_failed``
+    (the cells that oracle pass judged) instead; a rejected cell is not
+    a cache outcome, and an oracle-violating batch produced no
     trustworthy results to account hits against.  A batch killed
     specifically by the pair-certificate machine check (the compose
     pass) lands in ``pair_cert_rejected``, its own bucket: a forged or
@@ -165,6 +180,213 @@ class SweepStats:
         return f"sweep: {self.cells} cells — {cache} (jobs={self.jobs})"
 
 
+#: Preflight memo bound per pipeline, like the recurrence pass's
+#: certificate-fingerprint memo: past it the memo starts over, and a
+#: forgotten cell is only preflighted again.
+PREFLIGHT_MEMO_MAX = 4096
+
+#: Called with a stats counter name and the number of cells it covers
+#: when preflight or the oracle rejects a batch.
+RejectHook = Callable[[str, int], None]
+
+
+@lru_cache(maxsize=None)
+def oracle_fingerprint() -> str:
+    """Digest of the model oracle's source (bounds, contention, oracle).
+
+    A published entry records the fingerprint it was accepted under;
+    editing the model sends every stored entry back through the oracle
+    before it is served again.  The files are read, not imported, so a
+    batch of proven hits never loads the model.
+    """
+    model_dir = Path(__file__).resolve().parent.parent / "model"
+    digest = hashlib.sha256()
+    for name in ("bounds", "contention", "oracle"):
+        digest.update((model_dir / f"{name}.py").read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def _preflight_key(cell: SweepCell) -> str:
+    """Everything preflight reads of a cell (not its cache key)."""
+    return canonical_json({
+        "kind": cell.kind,
+        "config": cell.config,
+        "core": (cell.core_config.to_dict()
+                 if cell.core_config is not None else None),
+        "mem": (cell.mem_config.to_dict()
+                if cell.mem_config is not None else None),
+    })
+
+
+class CellPipeline:
+    """preflight, key, probe, execute, oracle, publish: the one path a
+    batch of cells takes in either front end.
+
+    Safe to share between threads: the preflight memo and the phase
+    walls are updated under a lock, and every other step works on the
+    caller's batch.
+    """
+
+    def __init__(self, cache: Optional[ResultCache], check: bool,
+                 bus: Optional[TelemetryBus], on_reject: RejectHook):
+        self.store = CacheAdapter(cache)
+        self.check = check
+        self.bus = bus
+        self.on_reject = on_reject
+        #: Elapsed wall per phase, summed over every batch.
+        self.phase_wall_s: Dict[str, float] = {}
+        self._admitted: set = set()
+        self._lock = threading.Lock()
+
+    def phase(self, name: str, t0: float) -> None:
+        wall = _now() - t0
+        with self._lock:
+            self.phase_wall_s[name] = (self.phase_wall_s.get(name, 0.0)
+                                       + wall)
+        if self.bus is not None:
+            self.bus.emit("phase", name=name, wall_s=wall)
+
+    def begin(self, cells: Sequence[SweepCell], fresh: bool = False,
+              keyed: bool = False,
+              ) -> Tuple[List[str], List[str], List[Optional[dict]],
+                         List[int]]:
+        """Preflight, key and probe one batch.
+
+        Returns ``(keys, labels, payloads, misses)``: the JSON payload
+        of every hit (None for a miss) and the indices left to execute.
+        A hit without the current oracle provenance is oracled, and
+        republished with it, before this returns; a rejection raises.
+        Keys are computed when the store is on or ``keyed`` asks.
+        ``fresh`` treats every cell as a miss.
+        """
+        self._preflight(cells)
+        n = len(cells)
+        keys = ([cell.key() for cell in cells]
+                if keyed or self.store.enabled else [""] * n)
+        labels = [cell_label(cell) for cell in cells]
+        bus = self.bus
+        t0 = _now()
+        payloads: List[Optional[dict]] = [None] * n
+        misses: List[int] = []
+        unproven: List[int] = []
+        for i, cell in enumerate(cells):
+            entry = None if fresh else self.store.probe(cell, keys[i])
+            if entry is None:
+                misses.append(i)
+                if bus is not None:
+                    bus.emit("enqueue", idx=i, cell=labels[i])
+                continue
+            payloads[i] = entry["result"]
+            prov = entry.get("provenance")
+            if self.check and not (isinstance(prov, dict) and prov.get(
+                    "oracle") == oracle_fingerprint()):
+                unproven.append(i)
+            if bus is not None:
+                bus.emit("cache-hit", idx=i, cell=labels[i])
+        self.phase("probe", t0)
+        if unproven:
+            self.settle(cells, keys, unproven, payloads)
+        return keys, labels, payloads, misses
+
+    def _preflight(self, cells: Sequence[SweepCell]) -> None:
+        t0 = _now()
+        todo = ({k: c for c in cells
+                 if (k := _preflight_key(c)) not in self._admitted}
+                if self.check else {})
+        if todo:
+            from repro.check.preflight import preflight_cells
+
+            try:
+                preflight_cells(list(todo.values()))
+            except CheckError as e:
+                self.on_reject("pair_cert_rejected" if e.check == "compose"
+                               else "preflight_rejected", len(cells))
+                if self.bus is not None:
+                    # Synthetic terminal event so the live view shows
+                    # *why* the batch died: no cell simulated (empty
+                    # fastpath delta), idx -1, and the rejecting pass
+                    # riding along as extra fields.
+                    self.bus.emit("cell-end", idx=-1, cell="preflight",
+                                  wall_s=_now() - t0, fastpath={},
+                                  rejected=len(cells),
+                                  check=e.check or "preflight")
+                raise
+            with self._lock:
+                if len(self._admitted) + len(todo) > PREFLIGHT_MEMO_MAX:
+                    self._admitted.clear()
+                self._admitted.update(todo)
+        self.phase("preflight", t0)
+
+    def make_pool(self, processes: int) -> Any:
+        """The one place a worker pool is built.
+
+        Fork keeps the parent's hash seed and registry state in the
+        children; fall back to the platform default elsewhere.
+        """
+        from repro.cpu.fastpath import default_enabled
+
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else None)
+        bus = self.bus
+        return ctx.Pool(processes=processes, initializer=_pool_init,
+                        initargs=(default_enabled(),
+                                  bus.path if bus is not None else None,
+                                  bus.run_id if bus is not None else None))
+
+    def execute(self, tasks: List[Tuple[int, SweepCell, str, float]],
+                jobs: int = 1, pool: Any = None) -> List[Tuple[str, dict]]:
+        """Run ``tasks`` on ``pool``, on a pool of up to ``jobs``
+        workers built for this call, or serially in-process; outcomes
+        come back in submission order."""
+        t0 = _now()
+        if pool is not None:
+            outcomes = pool.map(_execute_task, tasks)
+        elif jobs > 1 and len(tasks) > 1:
+            with self.make_pool(min(jobs, len(tasks))) as own:
+                outcomes = own.map(_execute_task, tasks)
+        else:
+            # In-process execution: point the worker-side bus at the
+            # pipeline's own for the duration.
+            global _worker_bus
+            prev, _worker_bus = _worker_bus, self.bus
+            try:
+                outcomes = [_execute_task(t) for t in tasks]
+            finally:
+                _worker_bus = prev
+        self.phase("execute", t0)
+        return outcomes
+
+    def settle(self, cells: Sequence[SweepCell], keys: Sequence[str],
+               idxs: Sequence[int], payloads: Any) -> None:
+        """Oracle ``payloads[i]`` for every ``i`` in ``idxs``, then
+        publish each one stamped with :func:`oracle_fingerprint`.
+
+        Nothing is published when the oracle rejects; with checks off,
+        entries are published without provenance.
+        """
+        t0 = _now()
+        proven = None
+        if self.check and idxs:
+            # Differential oracle: every result must sit inside the CPI
+            # interval the analytic model proves for its cell.
+            from repro.model.oracle import oracle_cells
+
+            try:
+                oracle_cells([cells[i] for i in idxs],
+                             [runner_for(cells[i].kind).decode(payloads[i])
+                              for i in idxs])
+            except CheckError:
+                self.on_reject("oracle_failed", len(idxs))
+                raise
+            proven = oracle_fingerprint()
+        self.phase("oracle", t0)
+        t0 = _now()
+        for i in idxs:
+            self.store.publish(cells[i], keys[i], payloads[i], proven)
+        self.phase("store", t0)
+
+
 @dataclass
 class SweepEngine:
     """Executes cell lists with optional parallelism and memoization.
@@ -172,164 +394,68 @@ class SweepEngine:
     ``jobs=1`` with no cache reproduces the pre-engine serial
     behaviour exactly.  One engine instance accumulates stats across
     all its ``run`` calls (a figure may sweep in several batches).
+    ``check=False`` skips the preflight and the oracle.
     """
 
     jobs: int = 1
     cache: Optional[ResultCache] = None
     fresh: bool = False
-    preflight: bool = True
-    oracle: bool = True
+    check: bool = True
     telemetry: Optional[TelemetryBus] = None
     stats: SweepStats = field(init=False)
+    pipeline: CellPipeline = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise ConfigError("jobs must be a positive integer")
+        self.pipeline = CellPipeline(self.cache, check=self.check,
+                                     bus=self.telemetry,
+                                     on_reject=self._reject)
         self.stats = SweepStats(
             jobs=self.jobs,
             cache_enabled=self.cache is not None,
             cache_dir=(str(self.cache.root)
                        if self.cache is not None else None),
+            phase_wall_s=self.pipeline.phase_wall_s,
         )
 
-    def _phase(self, name: str, wall: float) -> None:
-        self.stats.phase_wall_s[name] = (
-            self.stats.phase_wall_s.get(name, 0.0) + wall)
-        if self.telemetry is not None:
-            self.telemetry.emit("phase", name=name, wall_s=wall)
+    def _reject(self, counter: str, n: int) -> None:
+        setattr(self.stats, counter, getattr(self.stats, counter) + n)
 
     def run(self, cells: Sequence[SweepCell]) -> List[Any]:
         """Execute ``cells``; return their results in submission order.
 
-        Unless ``preflight`` is off, every cell is statically analyzed
-        first (:func:`repro.check.preflight_cells`) — a cell whose
-        stream recipe or workload fingerprint is stale, whose stream
-        fails the hazard/unit passes, or whose workload races, raises
+        With ``check`` on, a cell whose stream recipe or workload
+        fingerprint is stale, whose stream fails the hazard/unit passes,
+        or whose workload races raises
         :class:`~repro.common.errors.CheckError` before anything is
-        simulated or cached.
+        simulated or cached, and a result outside its model interval
+        raises :class:`~repro.common.errors.ModelViolation` before it
+        is cached or returned.
         """
         bus = self.telemetry
         stats = self.stats
+        pipeline = self.pipeline
         n = len(cells)
         run_t0 = _now()
         if bus is not None:
             bus.emit("sweep-begin", cells=n, jobs=self.jobs,
                      cache_enabled=self.cache is not None)
+        keys, labels, payloads, misses = pipeline.begin(cells, self.fresh)
         t0 = _now()
-        if self.preflight and cells:
-            from repro.check.preflight import preflight_cells
-
-            try:
-                preflight_cells(cells)
-            except CheckError as e:
-                if getattr(e, "check", "") == "compose":
-                    stats.pair_cert_rejected += n
-                else:
-                    stats.preflight_rejected += n
-                if bus is not None:
-                    # Synthetic terminal event so the live view shows
-                    # *why* the sweep died: no cell simulated (empty
-                    # fastpath delta), idx -1, and the rejecting pass
-                    # riding along as extra fields.
-                    bus.emit("cell-end", idx=-1, cell="preflight",
-                             wall_s=_now() - t0, fastpath={},
-                             rejected=n,
-                             check=getattr(e, "check", "") or "preflight")
-                raise
-        self._phase("preflight", _now() - t0)
-        results: List[Any] = [None] * n
-        keys = ([cell.key() for cell in cells]
-                if self.cache is not None else [""] * n)
-        labels = [cell_label(cell) for cell in cells]
-
-        t0 = _now()
-        hits = 0
-        miss_idx: List[int] = []
-        for i, cell in enumerate(cells):
-            entry = None
-            if self.cache is not None and not self.fresh:
-                entry = self.cache.get(keys[i])
-                if entry is not None and entry.get("kind") != cell.kind:
-                    entry = None
-            if entry is not None:
-                results[i] = runner_for(cell.kind).decode(entry["result"])
-                hits += 1
-                if bus is not None:
-                    bus.emit("cache-hit", idx=i, cell=labels[i])
-            else:
-                miss_idx.append(i)
-                if bus is not None:
-                    bus.emit("enqueue", idx=i, cell=labels[i])
-        self._phase("probe", _now() - t0)
-
-        t0 = _now()
-        outcomes = self._execute([(i, cells[i], labels[i], t0)
-                                  for i in miss_idx])
-        self._phase("execute", _now() - t0)
-
-        t0 = _now()
-        misses = 0
-        for i, (text, meta) in zip(miss_idx, outcomes):
-            payload = json.loads(text)
-            if self.cache is not None:
-                self.cache.put(keys[i], {
-                    "cache_schema_version": CACHE_SCHEMA_VERSION,
-                    "repro_version": __version__,
-                    "kind": cells[i].kind,
-                    "config": cells[i].config,
-                    "result": payload,
-                })
-            results[i] = runner_for(cells[i].kind).decode(payload)
-            misses += 1
+        outcomes = pipeline.execute([(i, cells[i], labels[i], t0)
+                                     for i in misses], jobs=self.jobs)
+        for i, (text, meta) in zip(misses, outcomes):
+            payloads[i] = json.loads(text)
             _fastpath.merge_stats(stats.fastpath, meta["fastpath"])
-        self._phase("store", _now() - t0)
-
-        t0 = _now()
-        if self.oracle and cells:
-            # Differential oracle: every simulated (or cache-replayed)
-            # result must sit inside the CPI interval the analytic
-            # model proves for its cell — raises ModelViolation if not.
-            from repro.model.oracle import oracle_cells
-
-            try:
-                oracle_cells(cells, results)
-            except CheckError:
-                stats.oracle_failed += n
-                raise
-        self._phase("oracle", _now() - t0)
+        pipeline.settle(cells, keys, misses, payloads)
 
         # Commit the accounting only for batches whose results stand.
         stats.cells += n
-        stats.hits += hits
-        stats.misses += misses
+        stats.hits += n - len(misses)
+        stats.misses += len(misses)
         if bus is not None:
-            bus.emit("sweep-end", cells=n, hits=hits, misses=misses,
-                     wall_s=_now() - run_t0)
-        return results
-
-    def _execute(
-        self, tasks: List[Tuple[int, SweepCell, str, float]],
-    ) -> List[Tuple[str, dict]]:
-        if self.jobs == 1 or len(tasks) < 2:
-            # Serial execution happens in-process: point the worker-side
-            # bus at the engine's own for the duration.
-            global _worker_bus
-            prev = _worker_bus
-            _worker_bus = self.telemetry
-            try:
-                return [_execute_task(t) for t in tasks]
-            finally:
-                _worker_bus = prev
-        # Fork keeps the parent's hash seed and registry state in the
-        # children; fall back to the platform default elsewhere.
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        from repro.cpu.fastpath import default_enabled
-
-        tel_path = self.telemetry.path if self.telemetry is not None else None
-        run_id = self.telemetry.run_id if self.telemetry is not None else None
-        with ctx.Pool(processes=min(self.jobs, len(tasks)),
-                      initializer=_pool_init,
-                      initargs=(default_enabled(), tel_path, run_id)) as pool:
-            return pool.map(_execute_task, tasks)
+            bus.emit("sweep-end", cells=n, hits=n - len(misses),
+                     misses=len(misses), wall_s=_now() - run_t0)
+        return [runner_for(cell.kind).decode(payload)
+                for cell, payload in zip(cells, payloads)]

@@ -104,8 +104,7 @@ class TestEnginePreflight:
         """--no-check: the tampered recipe is a key ingredient only, so
         the cell simulates fine with pre-flight disabled."""
         cache_dir = tmp_path / "cache"
-        engine = SweepEngine(cache=ResultCache(cache_dir),
-                             preflight=False)
+        engine = SweepEngine(cache=ResultCache(cache_dir), check=False)
         cell = stream_cell("iadd", ILP.MAX, threads=1)
         cell.config["recipe"] = {"ops": ["FADD"], "stride": 1}
         results = engine.run([cell])

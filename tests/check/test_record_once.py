@@ -82,7 +82,7 @@ def test_no_check_engine_stores_under_the_same_key(recordings, tmp_path):
     cell = app_cell(*CELL)
     expected = _fresh_process_key()
     cache = ResultCache(tmp_path)
-    SweepEngine(cache=cache, preflight=False, oracle=False).run([cell])
+    SweepEngine(cache=cache, check=False).run([cell])
     entry = cache.get(expected)
     assert entry is not None and entry["kind"] == "app-run"
     assert json.dumps(entry["config"], sort_keys=True) == json.dumps(

@@ -61,6 +61,12 @@ class TestCLIErrorPaths:
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
 
+    def test_negative_size_names_the_constraint(self, capsys):
+        assert main(["app", "bt", "--size", "-2", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert "size must be a positive integer" in err
+
     def test_unwritable_cache_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")

@@ -149,14 +149,14 @@ class TestOracleRejection:
 
         cells = _cells(names=("iadd",))
         s = _scheduler(tmp_path)
-        assert s.store.cache is not None
+        assert s.pipeline.store.cache is not None
         seen_in_store = []
 
         def failing_oracle(cells_, results_):
             # Snapshot the store from *inside* the oracle: this is the
             # widest point of the old publish-then-discard window.
             seen_in_store.append(
-                [s.store.cache.get(c.key()) for c in cells])
+                [s.pipeline.store.cache.get(c.key()) for c in cells])
             raise CheckError("model bound violated (injected)")
 
         monkeypatch.setattr(oracle_mod, "oracle_cells", failing_oracle)
@@ -169,7 +169,8 @@ class TestOracleRejection:
             # Nothing was published while the oracle deliberated, and
             # nothing is in the store after the rejection.
             assert seen_in_store == [[None] * len(cells)]
-            assert all(s.store.cache.get(c.key()) is None for c in cells)
+            assert all(s.pipeline.store.cache.get(c.key()) is None
+                       for c in cells)
         finally:
             s.close()
 
@@ -244,5 +245,116 @@ class TestCoalescing:
             assert snap["led"] == 1
             assert snap["coalesced"] + snap["warm_hits"] == 15
             assert len(set(texts)) == 1 and texts[0] is not None
+        finally:
+            s.close()
+
+
+class TestProvenance:
+    """The warm path serves only entries the current oracle accepted."""
+
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        """Count oracle calls; ``reject[0] = True`` makes it fail."""
+        import repro.model.oracle as oracle_mod
+
+        calls, reject = [], [False]
+        original = oracle_mod.oracle_cells
+
+        def counting(cells_, results_):
+            calls.append(len(cells_))
+            if reject[0]:
+                raise CheckError("model bound violated (injected)")
+            return original(cells_, results_)
+
+        monkeypatch.setattr(oracle_mod, "oracle_cells", counting)
+        return calls, reject
+
+    def test_unchecked_entry_is_reoracled_then_republished(
+            self, tmp_path, oracle_calls):
+        from repro.sweep.engine import oracle_fingerprint
+
+        calls, reject = oracle_calls
+        cells = _cells()
+        cache = ResultCache(tmp_path / "cache")
+        SweepEngine(cache=cache, check=False).run(cells)
+        s = _scheduler(tmp_path)
+        try:
+            reject[0] = True
+            with pytest.raises(CheckError):
+                s.fetch(cells)
+            snap = s.counters.snapshot()
+            assert snap["oracle_failed"] == len(cells)
+            assert snap["warm_hits"] == 0 and snap["pool_dispatches"] == 0
+
+            reject[0] = False
+            del calls[:]
+            _texts, outcome = s.fetch(cells)
+            assert outcome.warm_hits == len(cells) and calls == [len(cells)]
+            for c in cells:
+                assert cache.get(c.key())["provenance"] == {
+                    "oracle": oracle_fingerprint()}
+            s.fetch(cells)
+            assert calls == [len(cells)]
+            assert s.counters.snapshot()["pool_dispatches"] == 0
+        finally:
+            s.close()
+
+    def test_proven_entry_served_while_oracle_rejects(self, tmp_path,
+                                                      oracle_calls):
+        calls, reject = oracle_calls
+        cells = _cells()
+        SweepEngine(cache=ResultCache(tmp_path / "cache")).run(cells)
+        reject[0] = True
+        del calls[:]
+        s = _scheduler(tmp_path)
+        try:
+            _texts, outcome = s.fetch(cells)
+            assert outcome.warm_hits == len(cells)
+        finally:
+            s.close()
+        engine = SweepEngine(cache=ResultCache(tmp_path / "cache"))
+        engine.run(cells)
+        assert engine.stats.hits == len(cells)
+        assert calls == []
+
+    def test_stale_cell_on_disk_gets_422(self, tmp_path, daemon_factory):
+        from repro.serve.client import ServeError
+
+        cell = _cells(names=("iadd",))[0]
+        stale = type(cell)(kind=cell.kind,
+                           config={**cell.config,
+                                   "recipe": {"ops": ["IADD"],
+                                              "stride": 999}})
+        cache = ResultCache(tmp_path / "cache")
+        SweepEngine(cache=cache, check=False).run([stale])
+        assert len(cache) == 1
+        d = daemon_factory(cache_dir=str(tmp_path / "cache"),
+                           telemetry=False)
+        with d.client() as c:
+            with pytest.raises(ServeError) as exc:
+                c.cells([{"kind": stale.kind, "config": stale.config}])
+        assert exc.value.status == 422
+        assert exc.value.payload.get("check") == "preflight"
+
+    def test_warm_fetches_preflight_each_cell_once(self, tmp_path,
+                                                   monkeypatch):
+        import repro.check.preflight as preflight_mod
+
+        cells = _cells(names=("iadd",))
+        SweepEngine(cache=ResultCache(tmp_path / "cache")).run(cells)
+        calls = []
+        original = preflight_mod.preflight_cells
+
+        def counting(cells_):
+            calls.append(len(cells_))
+            return original(cells_)
+
+        monkeypatch.setattr(preflight_mod, "preflight_cells", counting)
+        s = _scheduler(tmp_path)
+        try:
+            for _ in range(2):
+                _texts, outcome = s.fetch(cells)
+                assert outcome.warm_hits == len(cells)
+            assert calls == [len(cells)]
         finally:
             s.close()

@@ -131,7 +131,7 @@ class TestStatsAccounting:
     rides along on every run."""
 
     def test_phase_wall_covers_the_whole_lifecycle(self):
-        engine = SweepEngine(preflight=False, oracle=False)
+        engine = SweepEngine(check=False)
         engine.run(_cells()[:2])
         assert set(engine.stats.phase_wall_s) == {
             "preflight", "probe", "execute", "store", "oracle"}
@@ -142,7 +142,7 @@ class TestStatsAccounting:
         assert engine.stats.phase_wall_s["execute"] >= before
 
     def test_fastpath_counters_merged_per_simulated_cell(self):
-        engine = SweepEngine(preflight=False, oracle=False)
+        engine = SweepEngine(check=False)
         engine.run(_cells()[:3])
         fp = engine.stats.fastpath
         assert fp["runs"] == 3
@@ -213,14 +213,16 @@ class TestStatsAccounting:
             raise CheckError("violated by test")
 
         monkeypatch.setattr("repro.model.oracle.oracle_cells", boom)
-        engine = SweepEngine(preflight=False)
+        monkeypatch.setattr("repro.check.preflight.preflight_cells",
+                            lambda cells: [])
+        engine = SweepEngine()
         with pytest.raises(CheckError):
             engine.run(_cells()[:2])
         assert engine.stats.oracle_failed == 2
         assert engine.stats.cells == 0
 
     def test_to_dict_carries_the_new_fields(self):
-        engine = SweepEngine(preflight=False, oracle=False)
+        engine = SweepEngine(check=False)
         engine.run(_cells()[:1])
         snap = engine.stats.to_dict()
         assert snap["preflight_rejected"] == 0
@@ -228,3 +230,72 @@ class TestStatsAccounting:
         assert snap["oracle_failed"] == 0
         assert list(snap["phase_wall_s"]) == sorted(snap["phase_wall_s"])
         assert snap["fastpath"]["runs"] == 1
+
+
+class TestOracleProvenance:
+    """Only oracle-accepted results reach the cache, each stamped with
+    the model fingerprint it was accepted under; a stamped entry skips
+    the oracle and any other entry goes back through it."""
+
+    def _reject(self, monkeypatch, calls=None):
+        from repro.common.errors import ModelViolation
+
+        def boom(cells, results):
+            if calls is not None:
+                calls.append(len(cells))
+            raise ModelViolation("rejected by test")
+
+        monkeypatch.setattr("repro.model.oracle.oracle_cells", boom)
+
+    def test_rejected_batch_leaves_no_entry(self, tmp_path, monkeypatch):
+        from repro.common.errors import ModelViolation
+
+        self._reject(monkeypatch)
+        cache = ResultCache(tmp_path)
+        with pytest.raises(ModelViolation):
+            SweepEngine(cache=cache).run(_cells()[:2])
+        assert len(cache) == 0
+
+    def test_accepted_entries_carry_the_model_fingerprint(self, tmp_path):
+        from repro.sweep.engine import oracle_fingerprint
+
+        cells = _cells()[:2]
+        cache = ResultCache(tmp_path)
+        SweepEngine(cache=cache).run(cells)
+        for cell in cells:
+            entry = cache.get(cell.key())
+            assert entry["provenance"] == {"oracle": oracle_fingerprint()}
+
+    def test_proven_hit_skips_the_oracle(self, tmp_path, monkeypatch):
+        cells = _cells()[:2]
+        cold = SweepEngine(cache=ResultCache(tmp_path)).run(cells)
+        calls = []
+        self._reject(monkeypatch, calls)
+        warm = SweepEngine(cache=ResultCache(tmp_path))
+        assert _sig(warm.run(cells)) == _sig(cold)
+        assert warm.stats.hits == len(cells) and calls == []
+
+    def test_unchecked_entry_is_reoracled_before_it_is_served(
+            self, tmp_path, monkeypatch):
+        from repro.common.errors import ModelViolation
+
+        cells = _cells()[:2]
+        cache = ResultCache(tmp_path)
+        SweepEngine(cache=cache, check=False).run(cells)
+        assert all("provenance" not in cache.get(c.key()) for c in cells)
+
+        calls = []
+        self._reject(monkeypatch, calls)
+        engine = SweepEngine(cache=ResultCache(tmp_path))
+        with pytest.raises(ModelViolation):
+            engine.run(cells)
+        assert calls == [len(cells)]
+        assert engine.stats.oracle_failed == len(cells)
+        assert engine.stats.hits == 0
+        assert all("provenance" not in cache.get(c.key()) for c in cells)
+
+        monkeypatch.undo()
+        engine = SweepEngine(cache=ResultCache(tmp_path))
+        engine.run(cells)
+        assert engine.stats.hits == len(cells)
+        assert all("provenance" in cache.get(c.key()) for c in cells)
