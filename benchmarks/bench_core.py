@@ -279,23 +279,23 @@ def _apps_certified():
 
 
 def _run_pair_on(a, b, certified):
-    """One fastpath-on pair run, with or without the pair certificate.
+    """One fastpath-on pair run, with or without joint-lattice guidance.
 
-    Suppressing ``attach_pair_certificate`` leaves the runtime on pure
+    Disarming ``FastPath._arm_pair_cert`` leaves the runtime on pure
     dynamic super-period detection — the exact arm the joint-lattice
-    capture replaced — so the pair times what static composition buys
-    at equal results.
+    capture replaced — so the pair times what the lattice buys at
+    equal results.
     """
     from repro.cpu import fastpath as _fastpath
 
-    orig = _fastpath.attach_pair_certificate
+    orig = _fastpath.FastPath._arm_pair_cert
     if not certified:
-        _fastpath.attach_pair_certificate = lambda cert: None
+        _fastpath.FastPath._arm_pair_cert = lambda self: None
     _fastpath.reset_stats()
     try:
         r = run_pair_cpis(a, b, ilp=ILP.MAX, fastpath=True)
     finally:
-        _fastpath.attach_pair_certificate = orig
+        _fastpath.FastPath._arm_pair_cert = orig
     st = _fastpath.stats()
     return r, {"coverage": round(st.coverage, 4), "jumps": st.jumps,
                "pair_cert_runs": st.pair_cert_runs,

@@ -26,8 +26,9 @@ Eight passes over a bounded symbolic unrolling of an experiment:
 8. **compose** — composes two solo stream lattices into joint
    super-period pair certificates (lcm lattice, RR fetch parity,
    interference windows cross-checked against the model's pair
-   envelopes, guard-aware splice windows) guiding the dual-thread
-   fast-forward (:mod:`repro.check.compose`).
+   envelopes, guard-aware splice windows) whose per-side lattices
+   the dual-thread fast-forward re-derives from the traces it runs
+   (:mod:`repro.check.compose`).
 
 Surfaces: the ``repro check`` CLI verb (human or ``--json`` output),
 ``repro certify`` (certificate inventory and static/dynamic agreement

@@ -8,8 +8,10 @@ every cell an engine is about to execute:
   stale cell would be simulated against code it does not describe),
   and the stream must pass the hazard/ILP and unit-legality passes;
 * ``app-run`` — the embedded workload fingerprint must match the
-  current module source; multi-thread variants get a bounded race scan
-  and, when the build publishes one, a span-plan validation;
+  current module source; every recorded thread's recurrence
+  certificate must pass its machine check; multi-thread variants get a
+  bounded race scan and, when the build publishes one, a span-plan
+  validation;
 * ``table1-row`` — fingerprint staleness only (the column derivation
   never simulates).
 
@@ -112,13 +114,8 @@ def _check_app(cell: Any) -> List[Finding]:
     # Certificate machine check: a recordable cell is about to execute
     # under certificate guidance; a certificate that does not describe
     # its own trace must never reach the jump engine silently.  Each
-    # thread is recorded once here; the race scan below and the cell's
-    # cache key (recurrence.workload_cert_fingerprints) reuse the result.
-    from repro.check.recurrence import (
-        remember_cert_fingerprints,
-        thread_certificates,
-        workload_label,
-    )
+    # thread is recorded once here; the race scan below reuses it.
+    from repro.check.recurrence import thread_certificates, workload_label
     from repro.isa.trace import TiledTrace
 
     threads = [factory(None) for factory in build.factories]
@@ -135,10 +132,6 @@ def _check_app(cell: Any) -> List[Finding]:
                 hint="the certificate does not describe the trace it "
                      "is attached to; rebuild or re-certify",
             ))
-    if not cert_findings:
-        remember_cert_fingerprints(
-            app, variant.value, tuple(sorted(size.items())),
-            cell.mem_config, [cert for _, cert in certs])
     if build.num_threads >= 2:
         # A recorded thread replays its own trace (the same instruction
         # stream its factory would record again); the others start
@@ -148,46 +141,6 @@ def _check_app(cell: Any) -> List[Finding]:
         findings.extend(races.detect_races(
             scan, build.aspace, name=site, budget=PREFLIGHT_RACE_BUDGET))
     return findings + cert_findings
-
-
-def _check_pair_cert(cell: Any) -> List[Finding]:
-    """Machine-check the composed pair certificate a dual-stream cell
-    is about to execute under.
-
-    The fast-forward re-derives both lattices at arm time and absorbs
-    a bad certificate byte-identically, so this gate costs nothing in
-    correctness — it exists so a forged or stale
-    :class:`~repro.check.compose.PairCertificate` is killed *before*
-    any simulation or cache write, with a finding naming the defect
-    instead of a silent runtime stand-down.  It validates the exact
-    certificate the runtime will attach (the memoized one), not a
-    fresh composition, so a poisoned cache entry cannot slip past.
-    """
-    from repro.check.compose import (
-        _stream_trace,
-        cached_pair_certificate,
-        mem_token,
-    )
-    from repro.isa.streams import ILP, STREAM_OPS
-
-    config = cell.config
-    name_a = config["stream_a"]
-    name_b = config["stream_b"]
-    ilp_name = config["ilp"]
-    if name_a not in STREAM_OPS or name_b not in STREAM_OPS \
-            or ilp_name not in ILP.__members__:
-        return []       # _check_stream already reported the defect
-    cert = cached_pair_certificate(name_a, name_b, ilp_name,
-                                   mem_token(cell.mem_config))
-    ilp = ILP[ilp_name]
-    site = f"pair {name_a}+{name_b} ({ilp_name} ILP)"
-    return [Finding(
-        check="compose", severity=Severity.ERROR, site=site,
-        message=f"pair certificate fails its machine check: {p}",
-        hint="the certificate does not describe the streams this "
-             "cell will run; re-enumerate or re-certify",
-    ) for p in cert.validate(_stream_trace(name_a, ilp),
-                             _stream_trace(name_b, ilp))]
 
 
 def preflight_cells(cells: Sequence[Any]) -> List[Finding]:
@@ -209,7 +162,6 @@ def preflight_cells(cells: Sequence[Any]) -> List[Finding]:
                 findings.extend(_check_stream(
                     config[f"stream_{which}"], config["ilp"],
                     config.get(f"recipe_{which}"), cell.core_config))
-            findings.extend(_check_pair_cert(cell))
         elif cell.kind in ("app-run", "table1-row"):
             if cell.kind == "table1-row":
                 from repro.sweep.cells import workload_fingerprint

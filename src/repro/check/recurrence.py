@@ -52,7 +52,8 @@ The output is a versioned, machine-checkable
 :class:`RecurrenceCertificate`: ``validate()`` re-derives every claim
 from the trace it describes, so a stale or forged certificate is
 detected before anyone consumes it; ``fingerprint()`` (canonical-JSON
-SHA-256) keys sweep cache entries.  Certificates are *hints*: the
+SHA-256) identifies it in the ``repro certify`` inventory.
+Certificates are *hints*, never part of a cache key: the
 runtime still proves every jump dynamically and falls back to the
 plain detector (stand-down reason ``cert-mismatch``) whenever reality
 disagrees — so a wrong certificate can cost time, never correctness
@@ -70,8 +71,7 @@ from repro.check.findings import Finding, Severity
 from repro.isa.trace import CompiledTrace, TiledTrace
 
 #: Bumped on any change to certificate semantics or JSON layout.  Part
-#: of every certificate fingerprint, hence of every sweep cache key
-#: that embeds one.
+#: of every certificate fingerprint.
 RECURRENCE_SCHEMA_VERSION = 1
 
 #: Windows retained per certificate, best coverage first.  Enough for
@@ -280,7 +280,7 @@ class RecurrenceCertificate:
         )
 
     def fingerprint(self) -> str:
-        """SHA-256 of the canonical JSON form — the cache-key token.
+        """SHA-256 of the canonical JSON form — the inventory token.
 
         ``subject`` is excluded: it is a display label, and identical
         recurrence structure must hash identically however the
@@ -502,9 +502,9 @@ def _splice_points(trace: TiledTrace,
 #: Memo of :func:`certify_tiled` results keyed on the structural
 #: signature below.  Every workload build re-attaches certificates
 #: (:func:`attach_certificate` in the tiled factories), and a sweep
-#: builds each workload many times over — parent-side fingerprint
-#: enumeration, preflight, the worker's own build — so lu and bt used
-#: to pay the O(nphases^2) window scan repeatedly just to re-derive
+#: builds each workload more than once — preflight, the worker's own
+#: build — so lu and bt used to pay the O(nphases^2) window scan
+#: repeatedly just to re-derive
 #: the same verdict (for them: ``none``, i.e. the scan proves there is
 #: nothing to fast-forward).  The signature is a pure O(trace-size)
 #: function of everything the certificate reads, so a memo hit is
@@ -785,54 +785,6 @@ def workload_certificates(app: str, variant: Any, size: Dict[str, Any],
     traces = [factory(None) for factory in build.factories]
     return [cert for _, cert in thread_certificates(
         traces, workload_label(app, variant.value, size), mem_config)]
-
-
-#: Certificate fingerprints per (app, variant, size, memory geometry),
-#: shared by the sweep preflight (which records and machine-checks each
-#: build's traces) and the cache keys (which only need the
-#: fingerprints): each build is recorded once per process.
-_CERT_FPS: Dict[Tuple[Any, ...], Tuple[str, ...]] = {}
-_CERT_FPS_MAX = 256
-
-
-def _cert_fps_key(app: str, variant_value: str,
-                  size_items: Tuple[Tuple[str, Any], ...],
-                  mem_config: Any) -> Tuple[Any, ...]:
-    token = (None if mem_config is None
-             else tuple(sorted(mem_config.to_dict().items())))
-    return (app, variant_value, size_items, token)
-
-
-def remember_cert_fingerprints(app: str, variant_value: str,
-                               size_items: Tuple[Tuple[str, Any], ...],
-                               mem_config: Any,
-                               certs: Sequence[RecurrenceCertificate]
-                               ) -> None:
-    """Record the fingerprints of a build's certificates, in thread
-    order, for :func:`workload_cert_fingerprints` to return."""
-    if len(_CERT_FPS) >= _CERT_FPS_MAX:
-        _CERT_FPS.clear()
-    _CERT_FPS[_cert_fps_key(app, variant_value, size_items, mem_config)] \
-        = tuple(c.fingerprint() for c in certs)
-
-
-def workload_cert_fingerprints(app: str, variant_value: str,
-                               size_items: Tuple[Tuple[str, Any], ...],
-                               mem_config: Any = None) -> Tuple[str, ...]:
-    """Certificate fingerprints for a cell's cache key.
-
-    Memoized per process by the hashable cell identity; a build the
-    preflight already recorded is never recorded again.
-    """
-    key = _cert_fps_key(app, variant_value, size_items, mem_config)
-    fps = _CERT_FPS.get(key)
-    if fps is None:
-        remember_cert_fingerprints(
-            app, variant_value, size_items, mem_config,
-            workload_certificates(app, variant_value, dict(size_items),
-                                  mem_config=mem_config))
-        fps = _CERT_FPS[key]
-    return fps
 
 
 def certificate_inventory(app_sizes: str = "all") -> Dict[str, Any]:

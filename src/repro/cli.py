@@ -41,7 +41,7 @@ recordable cell with the fast-forward disabled, exiting non-zero on
 any static/dynamic disagreement (the CI ``certify`` gate).
 ``--pairs`` adds the :mod:`repro.check.compose` pass: a joint
 super-period certificate for every fig.-2 pair; with ``--verify``,
-each pair is also replayed dual-threaded under certificate guidance,
+each pair is also replayed dual-threaded under lattice guidance,
 its CPIs must match the fast-forward-disabled replay byte-for-byte,
 and every observed jump's per-thread position delta must lie on the
 certified period lattice.
@@ -657,13 +657,14 @@ def _certify_verify_pairs() -> list:
 
     Per pair: (a) the composed certificate must pass its own
     :meth:`validate` machine check against freshly compiled traces;
-    (b) a dual-thread replay under certificate guidance must produce
+    (b) a dual-thread replay under lattice guidance must produce
     CPIs byte-identical to the fast-forward-disabled replay; (c) if
     the guided run applied a jump, each thread's position delta must
     lie on the certified period lattice (static joint period divides
     every dynamic jump delta).
     """
-    from repro.check.compose import _stream_trace, compose_pair, fig2_pairs
+    from repro.check.compose import (_stream_trace, cached_pair_certificate,
+                                     fig2_pairs)
     from repro.core.coexec import run_pair_cpis
     from repro.cpu import fastpath
     from repro.isa.streams import ILP
@@ -671,7 +672,7 @@ def _certify_verify_pairs() -> list:
     problems = []
     for a, b in fig2_pairs():
         label = f"pair {a}+{b}"
-        cert = compose_pair(a, b)
+        cert = cached_pair_certificate(a, b, ILP.MAX.name)
         issues = cert.validate(_stream_trace(a, ILP.MAX),
                                _stream_trace(b, ILP.MAX))
         for issue in issues:

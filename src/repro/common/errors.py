@@ -28,9 +28,10 @@ class CheckError(ReproError):
     experiment before simulation — e.g. the sweep pre-flight finding a
     stream whose realized ILP contradicts its declaration.
 
-    ``check`` names the analysis pass whose finding triggered the
-    rejection (e.g. ``"preflight"``, ``"compose"``) so callers can
-    account rejections per pass without parsing the message.
+    ``check`` names the pass whose finding triggered the rejection
+    (e.g. ``"preflight"``, or ``"oracle"`` for a :class:`ModelViolation`)
+    so callers can account rejections per pass without parsing the
+    message.
     """
 
     def __init__(self, message: str, check: str = "") -> None:

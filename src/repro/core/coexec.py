@@ -90,19 +90,6 @@ def run_pair_cpis(
         if spec.is_memory:
             region = prog.aspace.alloc(f"vec{t}", _VECTOR_BYTES, elem_size=1)
         prog.add_thread(measured_stream_factory(spec, region, prog, t, marks))
-    # Stage the statically composed pair certificate (hints, never
-    # authority: the fast-forward re-derives both lattices from the
-    # actual traces at arm time and still proves every jump).  Only
-    # when the fast-forward will actually arm — a staged hint must
-    # never outlive this run and leak into an unrelated one.
-    from repro.cpu import fastpath as _fastpath
-
-    use_fp = _fastpath.default_enabled() if fastpath is None else fastpath
-    if use_fp:
-        from repro.check import compose as _compose
-
-        _fastpath.attach_pair_certificate(_compose.cached_pair_certificate(
-            name_a, name_b, ilp.name, _compose.mem_token(mem_config)))
     result = prog.run(stop_at_tick=horizon)
     cpis = []
     for t in range(2):

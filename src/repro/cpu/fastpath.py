@@ -138,14 +138,12 @@ class FastpathStats:
       pair formed under certificate guidance).  Kept separate from
       the dynamic counters so certificate-guided cells land in their
       own acceptance column;
-    * pair-certificate counters — ``pair_cert_runs`` /
+    * pair-lattice counters — ``pair_cert_runs`` /
       ``pair_cert_captures`` / ``pair_cert_jumps``, the dual-thread
-      analogues driven by a :class:`~repro.check.compose.
-      PairCertificate` (joint lattice residue capture).  The matching
-      stand-downs are ``pair-cert-none`` (the composition proves a
-      side admits no sound translation) and ``pair-cert-mismatch``
-      (the certificate disagrees with the traces or its guided
-      captures never paired — dynamic detection takes over).
+      analogues: a run of two compiled streams captures at joint
+      revisits of each side's certified position-lattice residue.
+      Its stand-down is ``pair-cert-mismatch`` (guided captures kept
+      missing — dynamic detection takes over).
 
     The counters are *observers only*: they never influence detection,
     so results stay byte-identical whether anyone reads them.  Workers
@@ -250,29 +248,6 @@ def merge_stats(into: dict, snap: dict) -> dict:
         else:
             into[k] = into.get(k, 0) + v
     return into
-
-
-#: Pair certificate staged for the next run's arm gate.  Set by
-#: :func:`attach_pair_certificate` just before a dual-thread run and
-#: consumed (cleared) by the first ``prepare()`` — the certificate is
-#: per-run, never process-sticky, so a later cell cannot inherit a
-#: stale hint.
-_pending_pair_cert: Optional[Any] = None
-
-
-def attach_pair_certificate(cert: Optional[Any]) -> None:
-    """Stage a :class:`~repro.check.compose.PairCertificate` for the
-    next dual-thread run.
-
-    Hints, never authority: ``prepare()`` re-derives both sides'
-    lattices from the actual traces and refuses guidance on any
-    mismatch (``pair-cert-mismatch``, dynamic detection takes over); a
-    ``none`` verdict stands the detector down outright
-    (``pair-cert-none``) because the composition *proves* the dynamic
-    detector cannot jump either.  Every guided jump still passes the
-    full structural snapshot proof."""
-    global _pending_pair_cert
-    _pending_pair_cert = cert
 
 
 def set_default_enabled(on: bool) -> None:
@@ -395,14 +370,22 @@ _BURST_MISSES = 6
 #: straight misses means the static and dynamic views genuinely
 #: disagree — not that the run is still warming up.
 _CERT_STRIKES = 24
-#: Initial tick backoff between pair-certificate-guided captures that
+#: Initial tick backoff between pair-lattice-guided captures that
 #: missed (no canonical key hit).  Arithmetic lattices are dense (a
 #: handful of positions), so a residue crossing alone cannot throttle
 #: capture cost during warm-up; misses double the backoff up to
 #: :data:`_PAIR_BACKOFF_MAX` and any key hit resets it.
 _PAIR_BACKOFF0 = 8
 _PAIR_BACKOFF_MAX = 4096
-#: Pair-certificate anchor table bound: joint residue vectors already
+#: Straight capture aborts after which pair-lattice-guided capture
+#: stops backing off.  A marker draining from the ROB clears within a
+#: dozen exponentially spaced retries (the most any fig.-1 two-thread
+#: cell or fig.-2 pair needs, at every ILP); a longer streak is
+#: persistent, and retrying at every revisit lets it reach
+#: :data:`_ABORT_LIMIT` and stand down under its reason instead of
+#: staying armed all run.
+_PAIR_ABORT_PATIENCE = 20
+#: Pair-lattice anchor table bound: joint residue vectors already
 #: captured once.  Recurrences of an anchored vector share its
 #: canonical key, so every later capture there pairs immediately; a
 #: handful per co-execution epoch is plenty, and the oldest anchor is
@@ -503,8 +486,8 @@ class FastPath:
         self._cert_mode = False
         self._cert_aligned: Optional[list] = None
         self._cert_strikes = 0
-        # Pair-certificate-guided capture (repro.check.compose): per
-        # thread, the statically certified position-lattice generator.
+        # Pair-lattice-guided capture: per thread, the position-lattice
+        # generator certified on the running trace (certify_stream).
         # A joint lattice-residue vector seen twice provably lies on
         # the steady-state joint limit cycle (warm-up states never
         # recur), so fresh revisits mint capture anchors on a backoff
@@ -581,11 +564,8 @@ class FastPath:
         self._pair_strikes = 0
         self._pair_next = 0
         self._pair_backoff = _PAIR_BACKOFF0
-        global _pending_pair_cert
-        pcert = _pending_pair_cert
-        _pending_pair_cert = None
-        if pcert is not None and not self._arm_pair_cert(pcert):
-            return False
+        if len(core.threads) == 2:
+            self._arm_pair_cert()
         if self._tiled_only:
             certs = [getattr(th.gen, "cert", None) for th in core.threads]
             if all(c is not None for c in certs):
@@ -759,79 +739,54 @@ class FastPath:
         self._reset_detection(self._last_parts, t)
 
     # ------------------------------------------------------------------
-    # Level 0b: pair-certificate-guided capture (joint lattice residues)
+    # Level 0b: pair-lattice-guided capture (joint lattice residues)
     # ------------------------------------------------------------------
 
-    def _arm_pair_cert(self, cert: Any) -> bool:
-        """Gate a staged :class:`~repro.check.compose.PairCertificate`
-        against the actual run at arm time.
+    def _arm_pair_cert(self) -> None:
+        """Arm joint-lattice capture when both threads run compiled
+        streams (a :class:`CompiledTrace`, or a :class:`ChainedSource`
+        whose main part — its last compiled part — is one).
 
-        Returns ``False`` only for the ``pair-cert-none`` stand-down (a
-        stand-down can cost speed, never correctness, so the verdict is
-        honored as-is — ``validate()`` and the sweep preflight reject
-        forged verdicts statically, mirroring the tiled ``cert-none``
-        protocol).  Any structural disagreement — wrong kind, wrong
-        thread count, a per-side lattice the traces do not re-derive —
-        records ``pair-cert-mismatch`` and returns ``True`` with
-        guidance off: dynamic detection absorbs the run byte-identically.
+        Each side's lattice generator is certified on the trace that
+        actually runs (:func:`~repro.check.recurrence.certify_stream`,
+        always ``periodic`` for a compiled stream), so the periods are
+        hints derived from the run itself; every guided jump still
+        passes the full structural snapshot proof.
         """
-        st = self._st
-        if getattr(cert, "kind", None) != "pair" \
-                or len(self.core.threads) != 2 or self._retain:
-            st.bump(st.stand_downs, "pair-cert-mismatch")
-            return True
-        if cert.verdict == "none":
-            st.bump(st.stand_downs, "pair-cert-none")
-            return False
-        mains: List[Optional[CompiledTrace]] = []
+        from repro.check.recurrence import certify_stream
+
+        periods: List[int] = []
         for th in self.core.threads:
             gen: Any = th.gen
+            main: Any = None
             if type(gen) is CompiledTrace:
-                mains.append(gen)
+                main = gen
             elif type(gen) is ChainedSource:
-                main: Optional[CompiledTrace] = None
                 for part in gen.parts:
                     if type(part) is CompiledTrace:
                         main = part
-                mains.append(main)
-            else:
-                mains.append(None)
-        if any(m is None for m in mains):
-            st.bump(st.stand_downs, "pair-cert-mismatch")
-            return True
-        from repro.check.recurrence import certify_stream
-
-        claims = ((cert.period_a, cert.translation_a),
-                  (cert.period_b, cert.translation_b))
-        for trace, (period, translation) in zip(mains, claims):
-            assert trace is not None
-            fresh = certify_stream(trace, phase_mod=self._phase_mod,
-                                   guard_bytes=self._guard_bytes)
-            if fresh.period_pos != period \
-                    or fresh.translation != translation:
-                st.bump(st.stand_downs, "pair-cert-mismatch")
-                return True
-        if cert.verdict != "joint-periodic" or cert.joint_period_pos \
-                != math.lcm(claims[0][0], claims[1][0]):
-            st.bump(st.stand_downs, "pair-cert-mismatch")
-            return True
+            if main is None:
+                return
+            periods.append(certify_stream(
+                main, phase_mod=self._phase_mod,
+                guard_bytes=self._guard_bytes).period_pos)
         self._pair_cert_mode = True
-        self._pair_periods = (claims[0][0], claims[1][0])
-        st.pair_cert_runs += 1
-        return True
+        self._pair_periods = (periods[0], periods[1])
+        self._st.pair_cert_runs += 1
 
     def _pair_cert_probe(self, t: int, eff_limit: int) -> int:
         """Capture only when the joint lattice-residue vector revisits
         a previously seen value, skipping signature warmup entirely.
 
-        The certificate proves each thread's canonical source key is a
-        function of its position *residue* mod the certified
-        ``period_pos``, so the joint state can recur only where the
-        residue vector does — a revisit is exactly a statically
-        aligned capture pair candidate, proven (or refuted) by the
-        same canonical-key equality and ``_try_pair`` proof as dynamic
-        detection.  Fresh anchors and transients back the capture
-        cadence off exponentially without penalty; a *previously
+        Each thread's canonical source key is a function of its
+        position *residue* mod its certified ``period_pos``, so the
+        joint state can recur only where the residue vector does — a
+        revisit is exactly a statically aligned capture pair
+        candidate, proven (or refuted) by the same canonical-key
+        equality and ``_try_pair`` proof as dynamic detection.  Fresh
+        anchors and transients back the capture cadence off
+        exponentially without penalty (an abort streak past
+        :data:`_PAIR_ABORT_PATIENCE` stops backing off); a *previously
         captured* joint state whose canonical key changed is a strike,
         and enough straight strikes record ``pair-cert-mismatch`` and
         hand the run to the dynamic detector.
@@ -904,8 +859,10 @@ class FastPath:
             if self._abort_stand_down():
                 return t
             # Uncapturable machine state (in-flight drains) says
-            # nothing about the lattice: back off without a strike.
-            self._pair_defer(t)
+            # nothing about the lattice: back off without a strike,
+            # until the streak outlasts any drain.
+            if self._abort_streak < _PAIR_ABORT_PATIENCE:
+                self._pair_defer(t)
             return t
         self._abort_streak = 0
         caps = self._seen.get(cap.key)
@@ -970,9 +927,9 @@ class FastPath:
             self._pair_cert_fallback(t)
 
     def _pair_cert_fallback(self, t: int) -> None:
-        """Guided captures never revisited a canonical state: the pair
-        certificate is wrong for this run (stale geometry, seeded
-        defect, forged fixture).  Fall back to dynamic detection."""
+        """Guided captures never revisited a canonical state: the joint
+        residue vector does not pin down this run's canonical state.
+        Fall back to dynamic detection."""
         self._st.bump(self._st.stand_downs, "pair-cert-mismatch")
         self._pair_cert_mode = False
         self._pair_periods = None

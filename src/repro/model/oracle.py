@@ -248,7 +248,8 @@ def oracle_cells(cells: Sequence[Any], results: Sequence[Any]) -> None:
             f"model oracle: {head.site}: {head.message}{more} — "
             f"simulated results left their provable static intervals; "
             f"run `repro model` for the bound tables or pass --no-check "
-            f"to skip the oracle"
+            f"to skip the oracle",
+            check="oracle",
         )
 
 

@@ -295,8 +295,7 @@ class ServeApp:
         except (ConfigError, UsageError) as e:
             return 400, {"error": str(e)}
         except CheckError as e:
-            return 422, {"error": str(e),
-                         "check": getattr(e, "check", None)}
+            return 422, {"error": str(e), "check": e.check}
         except Exception as e:  # noqa: BLE001 - the 500 boundary
             self.scheduler.counters.add(errors=1)
             return 500, {"error": f"{type(e).__name__}: {e}"}

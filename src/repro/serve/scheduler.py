@@ -157,9 +157,6 @@ class CellScheduler:
                                      on_reject=self._reject)
 
     def _reject(self, counter: str, n: int) -> None:
-        # The daemon files compose-pass rejections under preflight.
-        if counter == "pair_cert_rejected":
-            counter = "preflight_rejected"
         self.counters.add(errors=1, **{counter: n})
 
     # -- pool lifecycle ------------------------------------------------

@@ -28,7 +28,7 @@ import hashlib
 import inspect
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.sweep.keys import (CACHE_SCHEMA_VERSION, FASTPATH_SCHEMA_VERSION,
@@ -45,53 +45,27 @@ class SweepCell:
     mem_config: Optional[Any] = field(default=None, compare=False)
 
     def key_material(self) -> dict:
-        """Everything the cache key is derived from (ISSUE contract:
-        cell config, simulator config, schema version, repro version)."""
+        """Everything the cache key is derived from: cell config,
+        simulator config, schema versions, repro version.
+
+        Certificates are capture hints that cannot change a result
+        (every jump passes the structural proof), so none of them is
+        part of the key; ``FASTPATH_SCHEMA_VERSION`` versions the
+        proof itself."""
         from repro import __version__
-        from repro.check.recurrence import RECURRENCE_SCHEMA_VERSION
         from repro.cpu.config import CoreConfig
         from repro.mem.config import MemConfig
 
         core = self.core_config if self.core_config is not None else CoreConfig()
         mem = self.mem_config if self.mem_config is not None else MemConfig()
-        material = {
+        return {
             "cell": {"kind": self.kind, "config": self.config},
             "core_config": core.to_dict(),
             "mem_config": mem.to_dict(),
             "cache_schema_version": CACHE_SCHEMA_VERSION,
             "fastpath_schema_version": FASTPATH_SCHEMA_VERSION,
-            "recurrence_schema_version": RECURRENCE_SCHEMA_VERSION,
             "repro_version": __version__,
         }
-        if self.kind == "app-run":
-            # App cells execute under certificate guidance: the
-            # certificates' fingerprints join the key so a recurrence-
-            # pass change invalidates exactly the cells it steers.
-            from repro.check.recurrence import workload_cert_fingerprints
-
-            c = self.config
-            material["cert_fingerprints"] = list(
-                workload_cert_fingerprints(
-                    c["app"], c["variant"],
-                    tuple(sorted(c["size"].items())),
-                    self.mem_config))
-        elif self.kind == "coexec-pair":
-            # Dual-stream cells execute under pair-certificate
-            # guidance (repro.check.compose): the joint certificate's
-            # fingerprint joins the key so a compose-pass change
-            # invalidates exactly the pair cells it steers.
-            from repro.check.compose import (
-                COMPOSE_SCHEMA_VERSION,
-                mem_token,
-                pair_cert_fingerprint,
-            )
-
-            c = self.config
-            material["compose_schema_version"] = COMPOSE_SCHEMA_VERSION
-            material["pair_cert_fingerprint"] = pair_cert_fingerprint(
-                c["stream_a"], c["stream_b"], c["ilp"],
-                mem_token(self.mem_config))
-        return material
 
     def key(self) -> str:
         return cache_key(self.key_material())
@@ -119,6 +93,8 @@ class CellRunner:
     """Executes one cell kind and moves its result through JSON."""
 
     kind: str = ""
+    #: Config fields every cell of this kind must carry.
+    required: Tuple[str, ...] = ()
 
     def run(self, cell: SweepCell) -> Any:
         raise NotImplementedError
@@ -255,6 +231,7 @@ def table1_cell(app: str, column: str, size: dict) -> SweepCell:
 @register
 class StreamCPIRunner(CellRunner):
     kind = "stream-cpi"
+    required = ("stream", "ilp", "threads", "horizon_ticks")
 
     def run(self, cell: SweepCell):
         from repro.core.streams import measure_stream_cpi
@@ -296,6 +273,7 @@ class StreamCPIRunner(CellRunner):
 @register
 class CoexecPairRunner(CellRunner):
     kind = "coexec-pair"
+    required = ("stream_a", "stream_b", "ilp", "horizon_ticks")
 
     def run(self, cell: SweepCell):
         from repro.core.coexec import run_pair_cpis
@@ -319,6 +297,7 @@ class CoexecPairRunner(CellRunner):
 @register
 class AppRunRunner(CellRunner):
     kind = "app-run"
+    required = ("app", "variant", "size")
 
     def run(self, cell: SweepCell):
         from repro.core.apps import run_app_experiment
@@ -371,6 +350,7 @@ class AppRunRunner(CellRunner):
 @register
 class Table1RowRunner(CellRunner):
     kind = "table1-row"
+    required = ("app", "column", "size")
 
     def run(self, cell: SweepCell):
         from repro.core.table1 import table1_row

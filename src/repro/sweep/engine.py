@@ -7,9 +7,9 @@ CLI, the benchmarks and the drivers, and
 single-flight table for ``repro serve``.  Per batch it runs:
 
 1. **preflight** over every cell (:func:`repro.check.preflight_cells`),
-   remembered per pipeline for each cell that passed.  It runs ahead of
-   the key because an app cell's key reuses the certificate
-   fingerprints preflight recorded;
+   remembered per pipeline for each cell that passed.  It runs first
+   because preflight must see a cell before anything is served for it,
+   hits included;
 2. **key** and **probe** the content-addressed :class:`ResultCache`;
 3. **execute** the misses: in-process when ``jobs == 1``, or across a
    ``multiprocessing`` pool whose ``map`` preserves submission order;
@@ -131,11 +131,7 @@ class SweepStats:
     cells) and one the model oracle rejects under ``oracle_failed``
     (the cells that oracle pass judged) instead; a rejected cell is not
     a cache outcome, and an oracle-violating batch produced no
-    trustworthy results to account hits against.  A batch killed
-    specifically by the pair-certificate machine check (the compose
-    pass) lands in ``pair_cert_rejected``, its own bucket: a forged or
-    stale joint certificate is a certification defect, not a stale
-    recipe, and the two must stay distinguishable in telemetry.
+    trustworthy results to account hits against.
     """
 
     cells: int = 0
@@ -145,7 +141,6 @@ class SweepStats:
     cache_enabled: bool = False
     cache_dir: Optional[str] = None
     preflight_rejected: int = 0
-    pair_cert_rejected: int = 0
     oracle_failed: int = 0
     #: Elapsed wall per engine phase (volatile; lives inside the
     #: report's "sweep" block, which strip_volatile removes).
@@ -166,7 +161,6 @@ class SweepStats:
             "cache_enabled": self.cache_enabled,
             "cache_dir": self.cache_dir,
             "preflight_rejected": self.preflight_rejected,
-            "pair_cert_rejected": self.pair_cert_rejected,
             "oracle_failed": self.oracle_failed,
             "phase_wall_s": {k: self.phase_wall_s[k]
                              for k in sorted(self.phase_wall_s)},
@@ -180,9 +174,8 @@ class SweepStats:
         return f"sweep: {self.cells} cells — {cache} (jobs={self.jobs})"
 
 
-#: Preflight memo bound per pipeline, like the recurrence pass's
-#: certificate-fingerprint memo: past it the memo starts over, and a
-#: forgotten cell is only preflighted again.
+#: Preflight memo bound per pipeline: past it the memo starts over,
+#: and a forgotten cell is only preflighted again.
 PREFLIGHT_MEMO_MAX = 4096
 
 #: Called with a stats counter name and the number of cells it covers
@@ -221,6 +214,10 @@ def _preflight_key(cell: SweepCell) -> str:
 class CellPipeline:
     """preflight, key, probe, execute, oracle, publish: the one path a
     batch of cells takes in either front end.
+
+    Preflight comes ahead of the key and the probe because it must see
+    a cell before anything is served for it; the key needs nothing
+    preflight computes.
 
     Safe to share between threads: the preflight memo and the phase
     walls are updated under a lock, and every other step works on the
@@ -299,8 +296,7 @@ class CellPipeline:
             try:
                 preflight_cells(list(todo.values()))
             except CheckError as e:
-                self.on_reject("pair_cert_rejected" if e.check == "compose"
-                               else "preflight_rejected", len(cells))
+                self.on_reject("preflight_rejected", len(cells))
                 if self.bus is not None:
                     # Synthetic terminal event so the live view shows
                     # *why* the batch died: no cell simulated (empty

@@ -41,10 +41,9 @@ CACHE_SCHEMA_VERSION = 1
 #: v3: certificate-guided capture (repro.check.recurrence) joins the
 #: jump engine — cert-aligned anchors, cert-none disarm, cert-mismatch
 #: fallback.
-#: v4: pair-certificate-guided joint capture (repro.check.compose) —
-#: lattice-residue anchors for dual-stream cells, pair-cert-none /
-#: pair-cert-mismatch stand-downs, guard-aware splice sleeps in the
-#: tiled extrapolation limit.
+#: v4: pair-lattice-guided joint capture — lattice-residue anchors for
+#: dual-stream runs, the pair-cert-mismatch fallback, guard-aware
+#: splice sleeps in the tiled extrapolation limit.
 FASTPATH_SCHEMA_VERSION = 4
 
 

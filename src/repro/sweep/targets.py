@@ -186,14 +186,14 @@ def parse_cells(specs: Any) -> List[SweepCell]:
         kind = spec.get("kind")
         if not isinstance(kind, str):
             raise ConfigError(f"cell #{i} needs a string 'kind'")
-        runner_for(kind)  # raises ConfigError on unknown kinds
-        cell = SweepCell(kind=kind, config=spec["config"])
-        try:
-            cell.key()  # eager: malformed configs fail here, not mid-run
-        except ConfigError:
-            raise
-        except Exception as e:
+        config = spec["config"]
+        # runner_for raises ConfigError on unknown kinds.
+        for name in runner_for(kind).required:
+            if name not in config:
+                raise ConfigError(f"cell #{i} has an invalid {kind!r} "
+                                  f"config: missing field {name!r}")
+        if "ilp" in config and str(config["ilp"]) not in ILP.__members__:
             raise ConfigError(f"cell #{i} has an invalid {kind!r} "
-                              f"config: {e}")
-        cells.append(cell)
+                              f"config: unknown ilp {config['ilp']!r}")
+        cells.append(SweepCell(kind=kind, config=config))
     return cells

@@ -22,7 +22,6 @@ from repro.check.compose import (
     compose_findings,
     compose_pair,
     fig2_pairs,
-    pair_cert_fingerprint,
     pair_inventory,
 )
 from repro.check.findings import Severity
@@ -141,10 +140,6 @@ class TestSerialization:
     def test_fingerprint_sees_structure(self):
         assert compose_pair("fload", "iload").fingerprint() \
             != compose_pair("fadd", "imul").fingerprint()
-
-    def test_cached_fingerprint_matches_fresh_composition(self):
-        fresh = compose_pair("fload", "iload").fingerprint()
-        assert pair_cert_fingerprint("fload", "iload", "MAX") == fresh
 
 
 class TestPassAndInventory:

@@ -57,27 +57,6 @@ class TestPreflightCells:
 
         preflight_cells([pair_cell("fload", "iload", ILP.MAX)])
 
-    def test_poisoned_pair_certificate_rejected_as_compose(
-            self, monkeypatch):
-        """The gate validates the exact memoized certificate the
-        runtime will attach — a poisoned cache entry cannot slip past —
-        and tags the rejection with the compose pass so the engine can
-        account it separately."""
-        import dataclasses
-
-        from repro.check import compose as _compose
-        from repro.sweep.cells import pair_cell
-
-        forged = dataclasses.replace(
-            _compose.compose_pair("fload", "iload"), joint_period_pos=7)
-        monkeypatch.setattr(
-            _compose, "cached_pair_certificate",
-            lambda *a, **kw: forged)
-        with pytest.raises(CheckError) as exc:
-            preflight_cells([pair_cell("fload", "iload", ILP.MAX)])
-        assert exc.value.check == "compose"
-        assert "machine check" in str(exc.value)
-
     def test_error_mentions_no_check_escape_hatch(self):
         cell = SweepCell(kind="stream-cpi",
                          config={"stream": "bogus", "ilp": "MAX"})

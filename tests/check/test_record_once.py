@@ -1,9 +1,9 @@
 """A recordable app cell's traces are recorded once per process.
 
 The sweep preflight records and machine-checks each thread's trace;
-the cell's cache key needs only the certificates' fingerprints, so it
-must reuse the preflight's work rather than record the build again —
-and still equal the key a process without preflight computes.
+the cell's cache key is a pure function of the cell and the machine
+configs, so it records nothing — and equals the key a process without
+preflight computes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 import repro.workloads.common as workloads_common
-from repro.check import recurrence
 from repro.check.preflight import preflight_cells
 from repro.sweep import ResultCache, SweepEngine
 from repro.sweep.cells import app_cell
@@ -32,9 +31,7 @@ CELL = ("mm", Variant.TLP_COARSE, {"n": 16})
 
 @pytest.fixture
 def recordings(monkeypatch):
-    """Count trace recordings (``compile_tiled`` calls) in this process,
-    starting from an empty fingerprint memo."""
-    monkeypatch.setattr(recurrence, "_CERT_FPS", {})
+    """Count trace recordings (``compile_tiled`` calls) in this process."""
     calls = []
     original = workloads_common.compile_tiled
 
@@ -71,11 +68,11 @@ def test_preflight_then_key_records_each_thread_once(recordings):
 
 
 def test_key_without_preflight_records_once(recordings):
+    """Not even once: the key carries no certificate fingerprints."""
     cell = app_cell(*CELL)
     key = cell.key()
-    assert len(recordings) == 2
     assert app_cell(*CELL).key() == key
-    assert len(recordings) == 2
+    assert len(recordings) == 0
 
 
 def test_no_check_engine_stores_under_the_same_key(recordings, tmp_path):

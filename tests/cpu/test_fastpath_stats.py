@@ -299,13 +299,12 @@ class TestCertificateGuidance:
 
 
 class TestPairCertificateGuidance:
-    """The pair-certificate arm's accounting: joint-lattice runs land
-    in ``pair_cert_runs``/``pair_cert_captures``/``pair_cert_jumps``,
-    and the two stand-down verdicts — ``pair-cert-none`` (composition
-    proves the pair fruitless) and ``pair-cert-mismatch`` (a claim the
-    actual run does not re-derive) — are attributed exactly."""
+    """The pair-lattice arm's accounting: a run of two compiled streams
+    lands in ``pair_cert_runs``/``pair_cert_captures``/
+    ``pair_cert_jumps``, and guided captures that keep missing hand the
+    run to dynamic detection under ``pair-cert-mismatch``."""
 
-    def _run_pair(self, cert, names=("fload", "iload"), horizon=220_000):
+    def _run_pair(self, names=("fload", "iload"), horizon=220_000):
         prog = Program(fastpath=True)
         for i, name in enumerate(names):
             spec = StreamSpec(name, ilp=ILP.MAX, count=1 << 30)
@@ -314,13 +313,10 @@ class TestPairCertificateGuidance:
                 region = prog.aspace.alloc(f"v{i}", 16384, elem_size=1)
             trace = compile_stream(spec, region)
             prog.add_thread(lambda api, tr=trace: tr)
-        _fastpath.attach_pair_certificate(cert)
         return prog.run(stop_at_tick=horizon)
 
     def test_pair_cert_run_jumps_under_pair_counters(self):
-        from repro.check.compose import compose_pair
-
-        self._run_pair(compose_pair("fload", "iload"))
+        self._run_pair()
         st = _fastpath.stats()
         assert st.pair_cert_runs == 1
         assert st.pair_cert_captures >= 1
@@ -329,43 +325,33 @@ class TestPairCertificateGuidance:
         assert st.ticks_skipped > 0
         assert st.stand_downs == {}
 
-    def test_pair_cert_none_stands_down_without_any_capture(self):
-        import dataclasses
-
-        from repro.check.compose import compose_pair
-
-        cert = dataclasses.replace(
-            compose_pair("fload", "iload"), verdict="none")
-        self._run_pair(cert, horizon=20_000)
-        st = _fastpath.stats()
-        assert st.stand_downs == {"pair-cert-none": 1}
-        assert st.armed == 0 and st.captures == 0 and st.jumps == 0
-        assert st.pair_cert_runs == 0
-
     def test_pair_cert_mismatch_falls_back_to_dynamic_detection(self):
-        """A certificate composed for a different pair: the arm gate
-        re-derives both sides' lattices, refuses guidance under
-        ``pair-cert-mismatch``, and hands the run to dynamic detection
-        — which still jumps."""
-        from repro.check.compose import compose_pair
+        """fadd+iadd at MED ILP: the guided captures keep missing, the
+        strikes record ``pair-cert-mismatch``, and dynamic detection
+        still jumps — byte-identical to the fast-forward-off run."""
+        from repro.core.coexec import run_pair_cpis
 
-        self._run_pair(compose_pair("fdiv", "fdiv"))
+        plain = run_pair_cpis("fadd", "iadd", ILP.MED, fastpath=False)
+        _fastpath.reset_stats()
+        guided = run_pair_cpis("fadd", "iadd", ILP.MED, fastpath=True)
         st = _fastpath.stats()
+        assert guided == plain
+        assert st.pair_cert_runs == 1
         assert st.stand_downs.get("pair-cert-mismatch", 0) == 1
-        assert st.pair_cert_runs == 0
-        assert st.pair_cert_jumps == 0
-        assert st.armed == 1
         assert st.jumps >= 1
 
-    def test_staged_certificate_is_consumed_by_one_run(self):
-        """attach_pair_certificate is per-run: the first prepare()
-        consumes the hint, so the next run cannot inherit it."""
-        from repro.check.compose import compose_pair
+    def test_persistent_aborts_stand_down_a_guided_run(self, monkeypatch):
+        """Two compiled streams arm the lattice; captures that always
+        abort must still reach the abort stand-down."""
+        from repro.cpu.fastpath import FastPath
 
-        self._run_pair(compose_pair("fload", "iload"), horizon=20_000)
-        assert _fastpath.stats().pair_cert_runs == 1
-        self._run_pair(None, horizon=20_000)
-        assert _fastpath.stats().pair_cert_runs == 1
+        monkeypatch.setattr(FastPath, "_capture",
+                            lambda self, t: self._abort("effectful-op"))
+        self._run_pair(names=("iadd", "iadd"), horizon=120_000)
+        st = _fastpath.stats()
+        assert st.pair_cert_runs == 1
+        assert st.stand_downs == {"capture-abort:effectful-op": 1}
+        assert st.jumps == 0
 
 
 class TestCountersDoNotPerturbResults:

@@ -122,6 +122,14 @@ class TestCells:
                 c.cells([{"kind": "nonsense", "config": {}}])
         assert exc.value.status == 400
 
+    def test_config_missing_a_field_400(self, tmp_path, daemon_factory):
+        d = daemon_factory(cache_dir=str(tmp_path), **WARM_KW)
+        with d.client() as c:
+            with pytest.raises(ServeError) as exc:
+                c.cells([{"kind": "stream-cpi", "config": {}}])
+        assert exc.value.status == 400
+        assert "missing field 'stream'" in exc.value.payload["error"]
+
     def test_stale_recipe_422_with_check_field(self, tmp_path,
                                                daemon_factory):
         spec = _cell_spec()

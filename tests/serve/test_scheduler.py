@@ -137,6 +137,27 @@ class TestPreflightRejection:
 
 
 class TestOracleRejection:
+    def test_model_violation_names_the_oracle(self, tmp_path, monkeypatch):
+        """A model-oracle rejection carries ``check == "oracle"``, the
+        field the daemon's 422 body reports."""
+        import repro.model.oracle as oracle_mod
+        from repro.check.findings import Finding, Severity
+        from repro.common.errors import ModelViolation
+
+        def violated(cells_, results_):
+            return [Finding(check="model", severity=Severity.ERROR,
+                            site="injected", message="CPI out of bounds")]
+
+        monkeypatch.setattr(oracle_mod, "validate_cells", violated)
+        s = _scheduler(tmp_path)
+        try:
+            with pytest.raises(ModelViolation) as exc:
+                s.fetch(_cells(names=("iadd",)))
+            assert exc.value.check == "oracle"
+            assert s.counters.snapshot()["oracle_failed"] == 1
+        finally:
+            s.close()
+
     def test_oracle_failure_never_reaches_the_store(self, tmp_path,
                                                     monkeypatch):
         """A model-rejected result must never reach the store — not

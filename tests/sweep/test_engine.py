@@ -162,25 +162,6 @@ class TestStatsAccounting:
         assert (engine.stats.cells, engine.stats.hits,
                 engine.stats.misses) == (0, 0, 0)
 
-    def test_pair_cert_rejection_lands_in_its_own_counter(
-            self, monkeypatch):
-        """The bugfix regression: a compose-pass rejection must land in
-        ``pair_cert_rejected`` — not in ``preflight_rejected``, and
-        never in the cache hit/miss totals."""
-        from repro.common.errors import CheckError
-
-        def boom(cells):
-            raise CheckError("forged pair certificate", check="compose")
-
-        monkeypatch.setattr("repro.check.preflight.preflight_cells", boom)
-        engine = SweepEngine()
-        with pytest.raises(CheckError):
-            engine.run(_cells())
-        assert engine.stats.pair_cert_rejected == len(_cells())
-        assert engine.stats.preflight_rejected == 0
-        assert (engine.stats.cells, engine.stats.hits,
-                engine.stats.misses) == (0, 0, 0)
-
     def test_rejection_surfaces_in_telemetry_cell_end(
             self, monkeypatch, tmp_path):
         """The synthetic terminal event names the rejecting pass, so
@@ -226,7 +207,6 @@ class TestStatsAccounting:
         engine.run(_cells()[:1])
         snap = engine.stats.to_dict()
         assert snap["preflight_rejected"] == 0
-        assert snap["pair_cert_rejected"] == 0
         assert snap["oracle_failed"] == 0
         assert list(snap["phase_wall_s"]) == sorted(snap["phase_wall_s"])
         assert snap["fastpath"]["runs"] == 1

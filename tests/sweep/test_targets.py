@@ -38,6 +38,13 @@ def test_app_size_semantics():
     ([{"kind": "stream-cpi", "config": {}, "core": {}}], "unknown fields"),
     ([{"kind": 7, "config": {}}], "string 'kind'"),
     ([{"kind": "app-run", "config": {}}], "invalid 'app-run'"),
+    ([{"kind": "stream-cpi", "config": {}}], "missing field 'stream'"),
+    ([{"kind": "stream-cpi", "config": {
+        "stream": "iadd", "ilp": "HUGE", "threads": 1,
+        "horizon_ticks": 8000}}], "unknown ilp 'HUGE'"),
+    ([{"kind": "coexec-pair", "config": {"stream_a": "iadd"}}],
+     "missing field 'stream_b'"),
+    ([{"kind": "table1-row", "config": {}}], "missing field 'app'"),
 ])
 def test_bad_cell_specs_name_the_constraint(specs, match):
     with pytest.raises(ConfigError, match=match):
