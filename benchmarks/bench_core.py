@@ -214,23 +214,24 @@ def _apps():
 
 
 def _run_app_on(app, size, certified):
-    """One fastpath-on app run, with or without build-time certificates.
+    """One fastpath-on app run, with or without tiled certificate
+    guidance.
 
-    Stripping ``attach_certificate`` leaves the runtime on pure dynamic
-    detection — the exact arm the certificate-guided capture replaced —
-    so the pair times what static certification buys at equal results.
+    Disarming ``FastPath._arm_tiled_cert`` leaves the runtime on pure
+    dynamic detection — the exact arm the certificate-guided capture
+    replaced — so the pair times what static certification buys at
+    equal results.
     """
-    import repro.check.recurrence as _rec
     from repro.cpu import fastpath as _fastpath
 
-    orig = _rec.attach_certificate
+    orig = _fastpath.FastPath._arm_tiled_cert
     if not certified:
-        _rec.attach_certificate = lambda trace, *a, **kw: trace
+        _fastpath.FastPath._arm_tiled_cert = lambda self: True
     _fastpath.reset_stats()
     try:
         r = run_app_experiment(app, Variant.SERIAL, size, fastpath=True)
     finally:
-        _rec.attach_certificate = orig
+        _fastpath.FastPath._arm_tiled_cert = orig
     st = _fastpath.stats()
     return (dataclasses.replace(r, wall_time_s=0.0),
             {"coverage": round(st.coverage, 4), "jumps": st.jumps,

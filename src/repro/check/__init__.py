@@ -68,7 +68,6 @@ from repro.check.recurrence import (
     RecurrenceCertificate,
     RecurrenceWindow,
     SplicePoint,
-    attach_certificate,
     cache_geometry,
     certificate_inventory,
     certify_stream,
@@ -120,7 +119,6 @@ __all__ = [
     "SplicePoint",
     "StreamTarget",
     "WorkloadTarget",
-    "attach_certificate",
     "cache_geometry",
     "certificate_inventory",
     "certify_stream",

@@ -8,10 +8,10 @@ every cell an engine is about to execute:
   stale cell would be simulated against code it does not describe),
   and the stream must pass the hazard/ILP and unit-legality passes;
 * ``app-run`` — the embedded workload fingerprint must match the
-  current module source; every recorded thread's recurrence
-  certificate must pass its machine check; multi-thread variants get a
-  bounded race scan and, when the build publishes one, a span-plan
-  validation;
+  current module source; multi-thread variants get a bounded race scan
+  and, when the build publishes one, a span-plan validation (nothing
+  is recorded for a single-thread cell — the fast-forward certifies
+  the trace it runs);
 * ``table1-row`` — fingerprint staleness only (the column derivation
   never simulates).
 
@@ -111,36 +111,11 @@ def _check_app(cell: Any) -> List[Finding]:
     if plan is not None:
         findings.extend(spans.verify_span_plan(
             site, plan, mem_config=cell.mem_config))
-    # Certificate machine check: a recordable cell is about to execute
-    # under certificate guidance; a certificate that does not describe
-    # its own trace must never reach the jump engine silently.  Each
-    # thread is recorded once here; the race scan below reuses it.
-    from repro.check.recurrence import thread_certificates, workload_label
-    from repro.isa.trace import TiledTrace
-
-    threads = [factory(None) for factory in build.factories]
-    certs = thread_certificates(
-        threads, workload_label(app, variant.value, size), cell.mem_config)
-    cert_findings: List[Finding] = []
-    for tid, cert in certs:
-        for problem in cert.validate(threads[tid]):
-            cert_findings.append(Finding(
-                check="preflight", severity=Severity.ERROR,
-                site=f"{site}/t{tid}",
-                message=f"recurrence certificate fails its machine "
-                        f"check: {problem}",
-                hint="the certificate does not describe the trace it "
-                     "is attached to; rebuild or re-certify",
-            ))
     if build.num_threads >= 2:
-        # A recorded thread replays its own trace (the same instruction
-        # stream its factory would record again); the others start
-        # fresh against the scan's API.
-        scan = [(lambda api, tr=tr: tr) if type(tr) is TiledTrace else f
-                for f, tr in zip(build.factories, threads)]
         findings.extend(races.detect_races(
-            scan, build.aspace, name=site, budget=PREFLIGHT_RACE_BUDGET))
-    return findings + cert_findings
+            build.factories, build.aspace, name=site,
+            budget=PREFLIGHT_RACE_BUDGET))
+    return findings
 
 
 def preflight_cells(cells: Sequence[Any]) -> List[Finding]:

@@ -51,10 +51,11 @@ symbolically, before any simulation:
 The output is a versioned, machine-checkable
 :class:`RecurrenceCertificate`: ``validate()`` re-derives every claim
 from the trace it describes, so a stale or forged certificate is
-detected before anyone consumes it; ``fingerprint()`` (canonical-JSON
-SHA-256) identifies it in the ``repro certify`` inventory.
-Certificates are *hints*, never part of a cache key: the
-runtime still proves every jump dynamically and falls back to the
+detected by ``repro check`` and ``repro certify --verify``;
+``fingerprint()`` (canonical-JSON SHA-256) identifies it in the
+``repro certify`` inventory.  The fast-forward certifies the trace it
+runs when it arms.  Certificates are *hints*, never part of a cache
+key: the runtime still proves every jump dynamically and falls back to the
 plain detector (stand-down reason ``cert-mismatch``) whenever reality
 disagrees — so a wrong certificate can cost time, never correctness
 (the seeded-defect suite kills certificates that could).
@@ -284,8 +285,8 @@ class RecurrenceCertificate:
 
         ``subject`` is excluded: it is a display label, and identical
         recurrence structure must hash identically however the
-        certificate was reached (build-time attachment vs. an
-        inventory pass that labels as it goes).
+        certificate was reached (the fast-forward's unlabelled arm-time
+        certification vs. an inventory pass that labels as it goes).
         """
         from repro.sweep.keys import canonical_json
 
@@ -310,8 +311,9 @@ class RecurrenceCertificate:
 
         An empty list certifies the certificate describes this trace at
         this geometry.  This is the check the ``repro check`` pass and
-        the sweep preflight run — a forged or stale certificate must
-        never reach the runtime silently.
+        the ``repro certify --verify`` gate run on every certificate
+        they derive — a certifier that disagrees with itself must never
+        pass silently.
         """
         problems: List[str] = []
         if self.schema_version != RECURRENCE_SCHEMA_VERSION:
@@ -500,13 +502,11 @@ def _splice_points(trace: TiledTrace,
 
 
 #: Memo of :func:`certify_tiled` results keyed on the structural
-#: signature below.  Every workload build re-attaches certificates
-#: (:func:`attach_certificate` in the tiled factories), and a sweep
-#: builds each workload more than once — preflight, the worker's own
-#: build — so lu and bt used to pay the O(nphases^2) window scan
-#: repeatedly just to re-derive
-#: the same verdict (for them: ``none``, i.e. the scan proves there is
-#: nothing to fast-forward).  The signature is a pure O(trace-size)
+#: signature below.  The fast-forward certifies every tiled-only run
+#: when it arms, and a sweep runs the same trace shapes many times, so
+#: lu and bt would pay the O(nphases^2) window scan repeatedly just to
+#: re-derive the same verdict (for them: ``none``, i.e. the scan proves
+#: there is nothing to fast-forward).  The signature is a pure O(trace-size)
 #: function of everything the certificate reads, so a memo hit is
 #: exact, not heuristic; ``validate()`` would accept the cached
 #: certificate against the new trace by construction.
@@ -664,18 +664,10 @@ def certify_trace(trace: Any, mem_config: Any = None,
     return None
 
 
-def attach_certificate(trace: Any, mem_config: Any = None,
-                       subject: str = "") -> Any:
-    """Certify ``trace`` and hang the result on it (``trace.cert``).
-
-    The fast-forward reads ``cert`` as capture hints at arm time.  Only
-    tiled traces carry the attribute (streams need no per-instance
-    hint: their lattice is derivable from three scalars); anything else
-    passes through untouched.
-    """
-    if type(trace) is TiledTrace:
-        trace.cert = certify_tiled(trace, mem_config, subject)
-    return trace
+#: Kept importable only because ``perfbench/spans.py`` resolves this
+#: name when it records spans (``--trace 1``); nothing in the program
+#: calls it — the fast-forward certifies the trace it runs.
+attach_certificate = certify_trace
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +695,7 @@ def recurrence_findings(app: str, variant: Any, size: Dict[str, Any],
         trace = factory(None)
         if type(trace) is not TiledTrace:
             continue
-        cert = getattr(trace, "cert", None)
-        if cert is None:
-            cert = certify_tiled(trace, mem_config,
-                                 subject=f"{site}/t{tid}")
+        cert = certify_tiled(trace, mem_config, subject=f"{site}/t{tid}")
         problems = cert.validate(trace)
         for p in problems:
             findings.append(Finding(
@@ -736,27 +725,6 @@ def recurrence_findings(app: str, variant: Any, size: Dict[str, Any],
     return findings
 
 
-def thread_certificates(traces: Sequence[Any], label: str,
-                        mem_config: Any = None
-                        ) -> List[Tuple[int, RecurrenceCertificate]]:
-    """``(tid, certificate)`` for each recorded (tiled) thread trace of
-    one workload build, in thread order."""
-    out: List[Tuple[int, RecurrenceCertificate]] = []
-    for tid, trace in enumerate(traces):
-        if type(trace) is not TiledTrace:
-            continue
-        cert = getattr(trace, "cert", None)
-        if cert is None:
-            cert = certify_tiled(trace, mem_config,
-                                 subject=f"{label}/t{tid}")
-        elif not cert.subject:
-            # Build-time attachment has no workload context; label for
-            # inventories (fingerprints ignore the subject).
-            cert = replace(cert, subject=f"{label}/t{tid}")
-        out.append((tid, cert))
-    return out
-
-
 def workload_label(app: str, variant_value: str,
                    size: Dict[str, Any]) -> str:
     """``app/variant(k=v,...)``: how certificates and findings name a
@@ -769,7 +737,8 @@ def workload_label(app: str, variant_value: str,
 def workload_certificates(app: str, variant: Any, size: Dict[str, Any],
                           mem_config: Any = None
                           ) -> List[RecurrenceCertificate]:
-    """Certificates of one workload build's recordable threads."""
+    """Certificates of one workload build's recorded (tiled) threads,
+    in thread order, each labelled ``label/t<tid>``."""
     from repro.workloads import WORKLOADS
     from repro.workloads.common import Variant
 
@@ -782,9 +751,11 @@ def workload_certificates(app: str, variant: Any, size: Dict[str, Any],
         return []
     build = WORKLOADS[app].build(variant, mem_config=mem_config,
                                  **dict(size))
+    label = workload_label(app, variant.value, size)
     traces = [factory(None) for factory in build.factories]
-    return [cert for _, cert in thread_certificates(
-        traces, workload_label(app, variant.value, size), mem_config)]
+    return [certify_tiled(trace, mem_config, subject=f"{label}/t{tid}")
+            for tid, trace in enumerate(traces)
+            if type(trace) is TiledTrace]
 
 
 def certificate_inventory(app_sizes: str = "all") -> Dict[str, Any]:

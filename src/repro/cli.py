@@ -591,12 +591,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _certify_verify(app_sizes: str) -> list:
     """The ``certify --verify`` gate: machine-check + dynamic replay.
 
-    For every recordable (app, variant, size): (a) each tiled trace's
-    certificate must pass its own :meth:`validate` machine check, and
-    (b) the cell's simulated result must be byte-identical with the
+    For every recordable (app, variant, size): (a) each recorded
+    trace's certificate (:func:`~repro.check.recurrence.certify_tiled`)
+    must pass its own :meth:`validate` machine check, and (b) the
+    cell's simulated result must be byte-identical with the
     fast-forward (and hence all certificate guidance) disabled.  Any
     violation is a static/dynamic disagreement.
     """
+    from repro.check import recurrence
     from repro.core.apps import APP_VARIANTS, run_app_experiment
     from repro.cpu import fastpath
     from repro.isa.trace import TiledTrace
@@ -613,16 +615,14 @@ def _certify_verify(app_sizes: str) -> list:
             if variant not in recordable:
                 continue
             for size in sizes:
-                label = (f"{app}/{variant.value}("
-                         + ",".join(f"{k}={v}"
-                                    for k, v in sorted(size.items()))
-                         + ")")
+                label = recurrence.workload_label(app, variant.value, size)
                 build = WORKLOADS[app].build(variant, **dict(size))
                 for tid, factory in enumerate(build.factories):
                     trace = factory(None)
-                    if type(trace) is not TiledTrace or trace.cert is None:
+                    if type(trace) is not TiledTrace:
                         continue
-                    for issue in trace.cert.validate(trace):
+                    cert = recurrence.certify_tiled(trace)
+                    for issue in cert.validate(trace):
                         problems.append(
                             f"{label}/t{tid}: certificate fails its "
                             f"machine check: {issue}")

@@ -370,21 +370,22 @@ _BURST_MISSES = 6
 #: straight misses means the static and dynamic views genuinely
 #: disagree — not that the run is still warming up.
 _CERT_STRIKES = 24
-#: Initial tick backoff between pair-lattice-guided captures that
-#: missed (no canonical key hit).  Arithmetic lattices are dense (a
-#: handful of positions), so a residue crossing alone cannot throttle
-#: capture cost during warm-up; misses double the backoff up to
-#: :data:`_PAIR_BACKOFF_MAX` and any key hit resets it.
-_PAIR_BACKOFF0 = 8
-_PAIR_BACKOFF_MAX = 4096
-#: Straight capture aborts after which pair-lattice-guided capture
-#: stops backing off.  A marker draining from the ROB clears within a
-#: dozen exponentially spaced retries (the most any fig.-1 two-thread
-#: cell or fig.-2 pair needs, at every ILP); a longer streak is
-#: persistent, and retrying at every revisit lets it reach
-#: :data:`_ABORT_LIMIT` and stand down under its reason instead of
-#: staying armed all run.
-_PAIR_ABORT_PATIENCE = 20
+#: Initial tick backoff after a capture that aborted or (pair-lattice
+#: guidance) missed.  Arithmetic lattices are dense (a handful of
+#: positions), so a residue crossing alone cannot throttle capture
+#: cost during warm-up, and a divide draining behind a marker outlasts
+#: many hint periods; each further abort or miss doubles the backoff up
+#: to :data:`_BACKOFF_MAX`, and a clean capture (pair guidance: a jump)
+#: resets it.
+_BACKOFF0 = 8
+_BACKOFF_MAX = 4096
+#: Straight capture aborts after which capture stops backing off.  A
+#: marker draining from the ROB clears within a dozen exponentially
+#: spaced retries (the most any fig.-1 two-thread cell or fig.-2 pair
+#: needs, at every ILP); a longer streak is persistent, and retrying at
+#: the normal cadence lets it reach :data:`_ABORT_LIMIT` and stand down
+#: under its reason instead of staying armed all run.
+_ABORT_PATIENCE = 20
 #: Pair-lattice anchor table bound: joint residue vectors already
 #: captured once.  Recurrences of an anchored vector share its
 #: canonical key, so every later capture there pairs immediately; a
@@ -503,7 +504,7 @@ class FastPath:
         self._pair_caught: dict = {}
         self._pair_strikes = 0
         self._pair_next = 0
-        self._pair_backoff = _PAIR_BACKOFF0
+        self._pair_backoff = _BACKOFF0
         cfg = core.config
         # Unit busy/penalty predicates look back at most one interval:
         # next_free older than that is inert and clamps to a sentinel.
@@ -563,26 +564,11 @@ class FastPath:
         self._pair_caught = {}
         self._pair_strikes = 0
         self._pair_next = 0
-        self._pair_backoff = _PAIR_BACKOFF0
+        self._pair_backoff = _BACKOFF0
         if len(core.threads) == 2:
             self._arm_pair_cert()
-        if self._tiled_only:
-            certs = [getattr(th.gen, "cert", None) for th in core.threads]
-            if all(c is not None for c in certs):
-                if all(c.verdict == "none" for c in certs):
-                    # The certificate proves no phase distance admits a
-                    # constant set-preserving forward shift — exactly
-                    # the match the tiled pairing rules require — so
-                    # dynamic detection cannot jump either.  Skip its
-                    # whole hot-loop cost instead of paying capture
-                    # overhead for a provably fruitless search.
-                    st.bump(st.stand_downs, "cert-none")
-                    return False
-                if all(c.verdict == "recurrent" for c in certs):
-                    self._cert_mode = True
-                    self._cert_aligned = [
-                        frozenset(c.aligned_phases()) for c in certs]
-                    st.cert_runs += 1
+        if self._tiled_only and not self._arm_tiled_cert():
+            return False
         self._armed = True
         st.armed += 1
         return True
@@ -654,6 +640,39 @@ class FastPath:
     # ------------------------------------------------------------------
     # Level 0: certificate-guided capture (statically aligned phases)
     # ------------------------------------------------------------------
+
+    def _arm_tiled_cert(self) -> bool:
+        """Arm aligned-phase capture for a tiled-only run; False when
+        the certificates prove the run fruitless (``cert-none``).
+
+        Each thread's running trace is certified at this core's
+        geometry (:func:`~repro.check.recurrence.certify_tiled`,
+        memoized by structural signature), so the hints always describe
+        the trace and machine that run; every guided jump still passes
+        the full structural proof.
+        """
+        from repro.check.recurrence import certify_tiled
+
+        st = self._st
+        certs = []
+        for th in self.core.threads:
+            gen: Any = th.gen   # tiled-only: every source is TiledTrace
+            certs.append(certify_tiled(gen, phase_mod=self._phase_mod,
+                                       guard_bytes=self._guard_bytes))
+        if all(c.verdict == "none" for c in certs):
+            # No phase distance admits a constant set-preserving
+            # forward shift — exactly the match the tiled pairing rules
+            # require — so dynamic detection cannot jump either.  Skip
+            # its whole hot-loop cost instead of paying capture
+            # overhead for a provably fruitless search.
+            st.bump(st.stand_downs, "cert-none")
+            return False
+        if all(c.verdict == "recurrent" for c in certs):
+            self._cert_mode = True
+            self._cert_aligned = [
+                frozenset(c.aligned_phases()) for c in certs]
+            st.cert_runs += 1
+        return True
 
     def _cert_probe(self, t: int, eff_limit: int) -> int:
         """Capture only at phases the recurrence certificate proves
@@ -786,7 +805,7 @@ class FastPath:
         equality and ``_try_pair`` proof as dynamic detection.  Fresh
         anchors and transients back the capture cadence off
         exponentially without penalty (an abort streak past
-        :data:`_PAIR_ABORT_PATIENCE` stops backing off); a *previously
+        :data:`_ABORT_PATIENCE` stops backing off); a *previously
         captured* joint state whose canonical key changed is a strike,
         and enough straight strikes record ``pair-cert-mismatch`` and
         hand the run to the dynamic detector.
@@ -826,7 +845,7 @@ class FastPath:
             self._pair_caught.clear()
             self._pair_strikes = 0
             self._pair_next = t
-            self._pair_backoff = _PAIR_BACKOFF0
+            self._pair_backoff = _BACKOFF0
         st_t = tuple(sts)
         if st_t == self._last_phases:
             return t
@@ -861,7 +880,7 @@ class FastPath:
             # Uncapturable machine state (in-flight drains) says
             # nothing about the lattice: back off without a strike,
             # until the streak outlasts any drain.
-            if self._abort_streak < _PAIR_ABORT_PATIENCE:
+            if self._abort_streak < _ABORT_PATIENCE:
                 self._pair_defer(t)
             return t
         self._abort_streak = 0
@@ -885,7 +904,7 @@ class FastPath:
             nt = self._try_pair(prev, cap, t, eff_limit, first)
             if nt is not None:
                 if nt >= 0:
-                    self._pair_backoff = _PAIR_BACKOFF0
+                    self._pair_backoff = _BACKOFF0
                     self._st.pair_cert_jumps += 1
                     return nt
                 return t
@@ -915,7 +934,7 @@ class FastPath:
         uncapturable transient, a not-yet-settled orbit)."""
         self._pair_next = t + self._pair_backoff
         self._pair_backoff = min(self._pair_backoff * 2,
-                                 _PAIR_BACKOFF_MAX)
+                                 _BACKOFF_MAX)
 
     def _pair_miss(self, t: int) -> None:
         """A previously captured joint state came back with a different
@@ -1258,6 +1277,14 @@ class FastPath:
         cap = self._capture(t)
         if cap is None:
             if self._abort_stand_down():
+                return t
+            if self._abort_streak < _ABORT_PATIENCE:
+                # Uncapturable machine state (a marker draining behind
+                # a long-latency op) says nothing about the candidate:
+                # sleep through it with exponential backoff, charging
+                # no miss, until the streak outlasts any drain.
+                self._sleep_until = t + min(
+                    _BACKOFF0 << (self._abort_streak - 1), _BACKOFF_MAX)
                 return t
             if t < self._burst_until:
                 return t

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import (Any, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.common.addrspace import Region
 from repro.common.errors import ConfigError
@@ -346,8 +346,7 @@ class TiledTrace:
     """
 
     __slots__ = ("count", "pos", "patterns", "phases", "starts",
-                 "regions", "extents", "_rbases", "_rends", "_phase",
-                 "cert")
+                 "regions", "extents", "_rbases", "_rends", "_phase")
 
     def __init__(
         self,
@@ -367,12 +366,6 @@ class TiledTrace:
         self.count = self.starts[-1]
         self.pos = 0
         self._phase = 0
-        # Optional static recurrence certificate (attached by
-        # repro.check.recurrence.attach_certificate); the fast-forward
-        # reads it as capture hints at arm time.  Typed loosely: the
-        # certificate class lives in repro.check, which must stay
-        # import-independent of the ISA layer.
-        self.cert: Optional[Any] = None
         self._rbases = [r.base for r in self.regions]
         self._rends = [r.end for r in self.regions]
 

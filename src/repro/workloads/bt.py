@@ -360,8 +360,7 @@ def build(
     return WorkloadBuild(
         name="bt",
         variant=variant,
-        factories=tiled_factories(factories, regions,
-                                  variant in _RECORDABLE, mem),
+        factories=tiled_factories(factories, regions, variant in _RECORDABLE),
         aspace=aspace,
         reference_check=check,
         meta={"grid": grid, "worker_tid": 0, "span_plan": span_plan},

@@ -402,8 +402,7 @@ def build(
     return WorkloadBuild(
         name="cg",
         variant=variant,
-        factories=tiled_factories(factories, regions,
-                                  variant in _RECORDABLE, mem),
+        factories=tiled_factories(factories, regions, variant in _RECORDABLE),
         aspace=aspace,
         reference_check=check,
         meta={

@@ -87,25 +87,20 @@ def strip_markers(stream: Iterator) -> Iterator[Instr]:
     return (i for i in stream if type(i) is not PhaseMarker)
 
 
-def tiled_factories(factories: list, regions: list, recordable: bool,
-                    mem_config=None) -> list:
+def tiled_factories(factories: list, regions: list, recordable: bool) -> list:
     """Wrap thread factories for the fast-forward's tile-level detector.
 
     ``recordable`` variants (pure instruction streams — no SyncVar or
     barrier effects) are compiled into a :class:`~repro.isa.trace.
     TiledTrace` at thread-bind time, turning each ``PhaseMarker`` into a
-    phase boundary the detector can fingerprint, and statically
-    certified (:mod:`repro.check.recurrence`) so the detector can skip
-    its warmup where the certificate proves where recurrence lives.
-    Variants with effects cannot be recorded (an effect must fire
+    phase boundary the detector can fingerprint; the fast-forward
+    certifies the trace it runs (:mod:`repro.check.recurrence`) when it
+    arms.  Variants with effects cannot be recorded (an effect must fire
     exactly when the pipeline retires it), so their markers are
     stripped instead — byte-identical to the pre-marker stream.
     """
     if recordable:
-        from repro.check.recurrence import attach_certificate
-
-        return [lambda api, f=f: attach_certificate(
-                    compile_tiled(f(api), regions), mem_config)
+        return [lambda api, f=f: compile_tiled(f(api), regions)
                 for f in factories]
     return [lambda api, f=f: strip_markers(f(api)) for f in factories]
 

@@ -369,7 +369,7 @@ def build(
         name="lu",
         variant=variant,
         factories=tiled_factories(factories, [state.A.region],
-                                  variant in _RECORDABLE, mem),
+                                  variant in _RECORDABLE),
         aspace=aspace,
         reference_check=state.check,
         meta={

@@ -324,8 +324,7 @@ def build(
     return WorkloadBuild(
         name="mm",
         variant=variant,
-        factories=tiled_factories(factories, regions,
-                                  variant in _RECORDABLE, mem),
+        factories=tiled_factories(factories, regions, variant in _RECORDABLE),
         aspace=aspace,
         reference_check=arrays.check,
         meta={

@@ -1,9 +1,10 @@
-"""A recordable app cell's traces are recorded once per process.
+"""A recordable app cell's traces are recorded at most once per process.
 
-The sweep preflight records and machine-checks each thread's trace;
-the cell's cache key is a pure function of the cell and the machine
-configs, so it records nothing — and equals the key a process without
-preflight computes.
+The sweep preflight records a multi-thread cell's traces once, for its
+race scan, and records nothing for a single-thread cell (the
+fast-forward certifies the trace it runs).  The cell's cache key is a
+pure function of the cell and the machine configs, so it records
+nothing — and equals the key a process without preflight computes.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from repro.workloads.common import Variant
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: Two recordable threads: both the certificate check and the race
-#: scan read each thread's trace.
+#: Two recordable threads: the race scan reads each thread's trace.
 CELL = ("mm", Variant.TLP_COARSE, {"n": 16})
 
 
@@ -59,12 +59,17 @@ def _fresh_process_key() -> str:
 def test_preflight_then_key_records_each_thread_once(recordings):
     cell = app_cell(*CELL)
     preflight_cells([cell])
-    assert len(recordings) == 2          # one per thread
+    assert len(recordings) == 2          # one per thread, for the race scan
     key = cell.key()
-    assert len(recordings) == 2          # the key reused the preflight's
+    assert len(recordings) == 2          # the key records nothing
     assert cell.key() == key
     assert len(recordings) == 2
     assert key == _fresh_process_key()
+
+
+def test_single_thread_preflight_records_nothing(recordings):
+    preflight_cells([app_cell("mm", Variant.SERIAL, {"n": 16})])
+    assert len(recordings) == 0
 
 
 def test_key_without_preflight_records_once(recordings):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.check.recurrence import (
     RECURRENCE_SCHEMA_VERSION,
     RecurrenceCertificate,
-    attach_certificate,
     cache_geometry,
     certify_stream,
     certify_tiled,
@@ -113,13 +112,6 @@ class TestTiledWindows:
         assert certify_trace(_stream_trace("iadd")).kind == "stream"
         assert certify_trace(iter([])) is None
 
-    def test_attach_hangs_certificate_on_tiled_only(self):
-        trace = attach_certificate(_cyclic_tiled())
-        assert trace.cert is not None
-        assert trace.cert.verdict == "recurrent"
-        stream = attach_certificate(_stream_trace("iadd"))
-        assert not hasattr(stream, "cert")
-
 
 class TestMachineCheck:
     def test_honest_certificates_validate_clean(self):
@@ -149,6 +141,28 @@ class TestMachineCheck:
     def test_kind_mismatch_is_rejected(self):
         stream_cert = certify_stream(_stream_trace("fload"))
         assert stream_cert.validate(_cyclic_tiled())
+
+    def test_certify_gate_machine_checks_every_recorded_trace(
+            self, monkeypatch):
+        """``certify --verify`` certifies each recorded app trace and
+        machine-checks the result: a certifier that forges must fail
+        the gate.  The replay half of the gate is stubbed out (one
+        shared result) — it is not what this test checks."""
+        import repro.check.recurrence as _rec
+        import repro.core.apps as _apps
+        from repro.cli import _certify_verify
+        from repro.workloads.common import Variant
+
+        result = _apps.run_app_experiment("mm", Variant.SERIAL, {"n": 16})
+        monkeypatch.setattr(_apps, "run_app_experiment",
+                            lambda *a, **kw: result)
+        honest = _rec.certify_tiled
+        monkeypatch.setattr(
+            _rec, "certify_tiled", lambda trace, *a, **kw:
+            dataclasses.replace(honest(trace, *a, **kw), nphases=-1))
+        problems = _certify_verify("small")
+        assert problems
+        assert all("fails its machine check" in p for p in problems)
 
 
 class TestSerialization:

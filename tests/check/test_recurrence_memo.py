@@ -10,17 +10,18 @@ relearn that nothing is certifiable.
 import pytest
 
 import repro.check.recurrence as recurrence
-from repro.check.recurrence import reset_scan_counters, scan_counters
+from repro.check.recurrence import (certify_tiled, reset_scan_counters,
+                                    scan_counters)
 from repro.pintool import DryRunAPI
 from repro.workloads import lu, matmul
 from repro.workloads.common import Variant
 
 
 def _certify_lu(n=16, tile=8):
-    """Build LU serial and bind its (recordable) thread factory: this
-    compiles the tiled trace and runs certification — no simulation."""
+    """Build LU serial, bind its (recordable) thread factory and certify
+    the compiled tiled trace — no simulation."""
     build = lu.build(Variant.SERIAL, n=n, tile=tile)
-    return build.factories[0](DryRunAPI(aspace=build.aspace))
+    return certify_tiled(build.factories[0](DryRunAPI(aspace=build.aspace)))
 
 
 @pytest.fixture(autouse=True)
@@ -34,12 +35,12 @@ def clean_memo():
 
 class TestMemo:
     def test_second_identical_build_skips_the_scan(self):
-        trace1 = _certify_lu()
+        cert1 = _certify_lu()
         first = reset_scan_counters()
         assert first["scans"] >= 1
         assert first["memo_hits"] == 0
 
-        trace2 = _certify_lu()
+        cert2 = _certify_lu()
         second = scan_counters()
         assert second["scans"] == 0
         assert second["memo_hits"] >= 1
@@ -47,12 +48,12 @@ class TestMemo:
         # for: the rebuild must skip the scan *and* remember that the
         # answer was "nothing certifiable".
         assert second["none_skips"] >= 1
-        assert trace1.cert.verdict == "none"
-        assert trace2.cert.verdict == trace1.cert.verdict
+        assert cert1.verdict == "none"
+        assert cert2.verdict == cert1.verdict
 
     def test_memoized_certificate_is_equivalent(self):
-        c1 = _certify_lu().cert
-        c2 = _certify_lu().cert
+        c1 = _certify_lu()
+        c2 = _certify_lu()
         assert c2.verdict == c1.verdict
         assert c2.fingerprint() == c1.fingerprint()
 
@@ -66,18 +67,18 @@ class TestMemo:
     def test_recurrent_verdict_also_memoized(self):
         """The memo is not 'none'-only: a certifiable trace (matmul
         serial) reuses its positive certificate too."""
-        def build_mm():
+        def certify_mm():
             b = matmul.build(Variant.SERIAL)
-            return b.factories[0](DryRunAPI(aspace=b.aspace))
+            return certify_tiled(b.factories[0](DryRunAPI(aspace=b.aspace)))
 
-        t1 = build_mm()
+        c1 = certify_mm()
         reset_scan_counters()
-        t2 = build_mm()
+        c2 = certify_mm()
         snap = scan_counters()
         assert snap["scans"] == 0
         assert snap["memo_hits"] >= 1
-        assert t2.cert.verdict == t1.cert.verdict
-        assert t2.cert.fingerprint() == t1.cert.fingerprint()
+        assert c2.verdict == c1.verdict
+        assert c2.fingerprint() == c1.fingerprint()
 
 
 class TestCounters:

@@ -33,7 +33,8 @@ The nine classes, per the detector's soundness argument:
 import dataclasses
 
 from repro.check.compose import _stream_trace, compose_pair
-from repro.check.recurrence import attach_certificate
+import repro.check.recurrence as _rec
+from repro.check.recurrence import certify_tiled
 from repro.common.addrspace import AddressSpace
 from repro.cpu.fastpath import FastPath
 from repro.cpu import fastpath as _fastpath
@@ -234,13 +235,8 @@ def _aperiodic_tiled(tiles=40, lines_per_tile=8):
     return gen, [region]
 
 
-def _run_tiled(gen_factory, regions, fastpath, cert_from=None,
-               horizon=None):
+def _run_tiled(gen_factory, regions, fastpath, horizon=None):
     trace = compile_tiled(gen_factory(), regions)
-    if cert_from is not None:
-        trace.cert = cert_from
-    else:
-        attach_certificate(trace)
     prog = Program(fastpath=fastpath)
     prog.add_thread(lambda api, tr=trace: tr)
     result = prog.run(stop_at_tick=horizon)
@@ -252,30 +248,32 @@ def _run_tiled(gen_factory, regions, fastpath, cert_from=None,
     }
 
 
-def test_forged_certificate_is_caught():
+def test_forged_certificate_is_caught(monkeypatch):
     """A certificate lifted from a recurrent trace and forged onto an
     aperiodic one must die twice over: the machine check rejects it
     statically, and the runtime — which treats certificates as capture
     hints, never as proof — stays byte-identical anyway, recording
     ``cert-mismatch`` once the aligned captures go nowhere."""
     cyc_gen, cyc_regions = _cyclic_tiled(tiles=4, passes=128)
-    donor = attach_certificate(compile_tiled(cyc_gen(), cyc_regions))
-    forged = donor.cert
+    forged = certify_tiled(compile_tiled(cyc_gen(), cyc_regions))
     assert forged.verdict == "recurrent"
 
     ape_gen, ape_regions = _aperiodic_tiled()
     victim = compile_tiled(ape_gen(), ape_regions)
-    assert attach_certificate(
-        compile_tiled(ape_gen(), ape_regions)).cert.verdict == "none"
+    assert certify_tiled(victim).verdict == "none"
 
     # Static kill: validate() re-derives every claim against the trace.
     problems = forged.validate(victim)
     assert problems, "machine check must reject the forged certificate"
 
-    # Runtime kill: hint-only consumption cannot corrupt results.
+    # Runtime kill: hint-only consumption cannot corrupt results.  The
+    # fast-forward certifies the trace it runs, so the forgery goes in
+    # through the certifier.
     baseline = _run_tiled(ape_gen, ape_regions, False)
+    monkeypatch.setattr(_rec, "certify_tiled",
+                        lambda trace, *a, **kw: forged)
     _fastpath.reset_stats()
-    poisoned = _run_tiled(ape_gen, ape_regions, True, cert_from=forged)
+    poisoned = _run_tiled(ape_gen, ape_regions, True)
     st = _fastpath.stats()
     assert poisoned == baseline, (
         "a forged certificate must never change simulated results")

@@ -5,6 +5,7 @@ test_fastpath_equiv; this file pins the observer itself)."""
 
 import pytest
 
+from repro.check.recurrence import certify_tiled
 from repro.core.streams import measure_stream_cpi
 from repro.cpu import fastpath as _fastpath
 from repro.cpu.fastpath import FastpathStats, merge_stats
@@ -199,13 +200,35 @@ class TestCaptureAbortTaxonomy:
         assert fp._abort_stand_down() and not fp._armed
 
 
+class TestDynamicAbortBackoff:
+    def test_divider_drains_do_not_stand_down_dynamic_detection(
+            self, monkeypatch):
+        """fdiv+fdiv without lattice guidance: markers drain behind
+        long divides, so captures abort for long stretches.  Dynamic
+        detection must back off through them instead of charging each
+        abort as a miss — no ``capture-abort`` stand-down, real jumps,
+        and CPIs equal to the fast-forward-off run."""
+        from repro.core.coexec import run_pair_cpis
+        from repro.cpu.fastpath import FastPath
+
+        plain = run_pair_cpis("fdiv", "fdiv", ILP.MAX, fastpath=False)
+        monkeypatch.setattr(FastPath, "_arm_pair_cert", lambda self: None)
+        _fastpath.reset_stats()
+        guided = run_pair_cpis("fdiv", "fdiv", ILP.MAX, fastpath=True)
+        st = _fastpath.stats()
+        assert guided == plain
+        assert st.pair_cert_runs == 0
+        assert not any(k.startswith("capture-abort:")
+                       for k in st.stand_downs)
+        assert st.jumps >= 1
+
+
 def _tiled_loop_program(tiles, passes, lines_per_tile=8):
     """A cyclic tiled workload: ``passes`` sweeps over ``tiles`` tiles
     of the same region.  Certifies ``recurrent`` (whole-pass identity:
     window deltas all zero at dphase == tiles), and after the cache
     warms the canonical key recurs pass over pass — the ideal
     certificate-guided case, in miniature."""
-    from repro.check.recurrence import attach_certificate
     from repro.common.addrspace import AddressSpace
     from repro.isa import F
     from repro.isa.trace import PHASE, compile_tiled
@@ -222,7 +245,7 @@ def _tiled_loop_program(tiles, passes, lines_per_tile=8):
                     yield Instr.arith(Op.FADD, dst=F(1), src=F(0))
                 yield PHASE
 
-    trace = attach_certificate(compile_tiled(gen(), [region]))
+    trace = compile_tiled(gen(), [region])
     prog = Program(fastpath=True)
     prog.add_thread(lambda api, tr=trace: tr)
     return prog, trace
@@ -237,7 +260,7 @@ class TestCertificateGuidance:
 
     def test_cert_guided_run_jumps_under_cert_counters(self):
         prog, trace = _tiled_loop_program(tiles=4, passes=128)
-        assert trace.cert.verdict == "recurrent"
+        assert certify_tiled(trace).verdict == "recurrent"
         prog.run()
         st = _fastpath.stats()
         assert st.cert_runs == 1
@@ -251,7 +274,6 @@ class TestCertificateGuidance:
         """Quadratic tile spacing: no phase distance admits a constant
         set-preserving shift, so the certificate proves the search
         fruitless and the run never arms at all."""
-        from repro.check.recurrence import attach_certificate
         from repro.common.addrspace import AddressSpace
         from repro.isa import F
         from repro.isa.trace import PHASE, compile_tiled
@@ -267,8 +289,8 @@ class TestCertificateGuidance:
                     yield Instr.arith(Op.FADD, dst=F(1), src=F(0))
                 yield PHASE
 
-        trace = attach_certificate(compile_tiled(gen(), [region]))
-        assert trace.cert.verdict == "none"
+        trace = compile_tiled(gen(), [region])
+        assert certify_tiled(trace).verdict == "none"
         prog = Program(fastpath=True)
         prog.add_thread(lambda api, tr=trace: tr)
         prog.run()
@@ -284,7 +306,7 @@ class TestCertificateGuidance:
         bucket — and hand the rest of the run to dynamic detection
         instead of disarming."""
         prog, trace = _tiled_loop_program(tiles=8, passes=64)
-        assert trace.cert.verdict == "recurrent"
+        assert certify_tiled(trace).verdict == "recurrent"
         prog.run()
         st = _fastpath.stats()
         assert st.stand_downs.get("cert-mismatch", 0) == 1

@@ -75,8 +75,8 @@ class TestFig2RefreshGuard:
 class TestCertificationRefreshGuard:
     """Certificates are capture hints, never inputs to the result: the
     same app report must come out byte-identical with certification
-    active (certificate-guided captures), stripped (build-time
-    attachment disabled, pure dynamic detection), and on a warm replay
+    active (certificate-guided captures), stripped (the fast-forward's
+    tiled arm disabled, pure dynamic detection), and on a warm replay
     with certification active."""
 
     @pytest.fixture(scope="class")
@@ -94,10 +94,9 @@ class TestCertificationRefreshGuard:
         golden_check("apps_fastpath_guard", certified)
 
     def test_stripped_certification_matches(self, certified, monkeypatch):
-        import repro.check.recurrence as _rec
+        from repro.cpu.fastpath import FastPath
 
-        monkeypatch.setattr(_rec, "attach_certificate",
-                            lambda trace, *a, **kw: trace)
+        monkeypatch.setattr(FastPath, "_arm_tiled_cert", lambda self: True)
         _fastpath.reset_stats()
         report = _app_report(True)
         assert report == certified

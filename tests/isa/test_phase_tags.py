@@ -10,6 +10,7 @@ through different strides, and untagged recording let x-sweep lines
 alias with y-sweep lines whenever their relative rows coincided.
 """
 
+from repro.check.recurrence import certify_tiled
 from repro.common.addrspace import AddressSpace
 from repro.isa import F, Instr, Op
 from repro.isa.trace import PHASE, PhaseMarker, compile_tiled
@@ -101,8 +102,7 @@ class TestBTDirectionalSignature:
         assert len(trace.patterns) == 3      # one pattern per direction
         nlines = len(trace.phases) // 3      # phases per sweep
 
-        cert = trace.cert
-        assert cert is not None
+        cert = certify_tiled(trace)
         assert cert.verdict == "recurrent"
         assert len(cert.windows) == 2
         for w in cert.windows:
